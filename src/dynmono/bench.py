@@ -134,6 +134,14 @@ def _parse_method(entry) -> MethodSpec:
     )
 
 
+def _config_int(path: str | Path, raw: dict, key: str, default: int) -> int:
+    value = raw.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise InputFormatError(f"{path}: {key} must be an integer, got {value!r}") from None
+
+
 def load_config(path: str | Path) -> BenchConfig:
     """Read a JSON bench config; see README for the schema."""
     try:
@@ -148,7 +156,7 @@ def load_config(path: str | Path) -> BenchConfig:
         rhos = tuple(parse_rho(str(r)) for r in raw.get("rhos", []))
     except (TypeError, ValueError) as exc:
         raise InputFormatError(f"{path}: {exc}") from None
-    trials = int(raw.get("trials", 1))
+    trials = _config_int(path, raw, "trials", 1)
     if trials < 1:
         raise InputFormatError("trials must be at least 1")
     return BenchConfig(
@@ -156,7 +164,7 @@ def load_config(path: str | Path) -> BenchConfig:
         rhos=rhos,
         methods=methods,
         trials=trials,
-        rng_seed_base=int(raw.get("rng_seed_base", 0)),
+        rng_seed_base=_config_int(path, raw, "rng_seed_base", 0),
         epsilon=float(raw["epsilon"]) if raw.get("epsilon") is not None else None,
         output=str(raw["output"]) if raw.get("output") is not None else None,
     )

@@ -23,7 +23,9 @@ Four methods, named by their CLI tags:
     Recursive splitter for trees of order >= 1/rho: pick the high-degree
     vertex whose removal leaves the largest high-degree-containing branch,
     seed it, recurse into that branch with thresholds recomputed from the
-    branch degrees.  Output size is at most floor(rho * n).
+    branch degrees.  Output size is at most floor(rho * n); the split
+    vertex is always a Steiner leaf of the high-degree class, which keeps
+    the whole run at O(n log n).
 
 ``v2``
     Baseline for connected graphs: seed every vertex of degree >= 1/rho
@@ -36,6 +38,7 @@ verification raises, it is never reported as an unverified seed.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass, field
@@ -52,7 +55,7 @@ from .cascade import (
     proportional_thresholds,
 )
 from .errors import PreconditionError
-from .graphs import Graph, girth_at_least_five, induced_subgraph, is_connected, is_tree
+from .graphs import Graph, girth_at_least_five, is_connected, is_tree
 from .seeding import stable_seed
 
 DELTA_CAP = min(math.exp(-0.25), 0.5)
@@ -425,85 +428,28 @@ def girth5_construct(
     return MonopolySeed(method="girth5", seed=seed, params=params, verified=True, trace=trace)
 
 
-def _tree_split(t: Graph, high: list[int]) -> tuple[int, list[int]]:
-    """Choose the split vertex u and the branch of t - u to recurse into.
-
-    u maximizes the order of the largest high-degree-containing component
-    of t - u (ties: smallest id).  For that u the qualifying component is
-    unique; the further tie-break on the component's smallest vertex id is
-    defensive only.  Component orders come from one rooted subtree pass, so
-    a split costs O(n).
-    """
-    n = t.n
-    adj = t.adj
-    parent = [-2] * n
-    parent[0] = -1
-    order = [0]
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if parent[v] == -2:
-                parent[v] = u
-                order.append(v)
-                stack.append(v)
-    is_high = bytearray(n)
-    for u in high:
-        is_high[u] = 1
-    sub_size = [1] * n
-    sub_high = [0] * n
-    for u in reversed(order):
-        sub_high[u] += is_high[u]
-        p = parent[u]
-        if p >= 0:
-            sub_size[p] += sub_size[u]
-            sub_high[p] += sub_high[u]
-    total_high = len(high)
-
-    def components_of(u: int) -> list[tuple[int, int, int]]:
-        """(order, high count, anchor) for each component of t - u."""
-        out = []
-        for v in adj[u]:
-            if v == parent[u]:
-                out.append((n - sub_size[u], total_high - sub_high[u], v))
-            else:
-                out.append((sub_size[v], sub_high[v], v))
-        return out
-
-    best_u = -1
-    best_order = -1
-    for u in high:
-        cand = max((size for size, hc, _ in components_of(u) if hc > 0), default=0)
-        if cand > best_order:
-            best_order = cand
-            best_u = u
-    anchors = [a for size, hc, a in components_of(best_u) if hc > 0 and size == best_order]
-    branches = []
-    for a in anchors:
-        comp = [a]
-        seen = {a, best_u}
-        stack = [a]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-                    stack.append(y)
-        branches.append(comp)
-    branch = min(branches, key=min)
-    return best_u, branch
-
-
 def tree_construct(t: Graph, rho: Fraction | int | str | float) -> MonopolySeed:
     """Recursive tree seed of size at most floor(rho * n) for trees of order >= 1/rho.
 
     With zero or one high-degree vertices the answer is a single vertex
     (the high-degree one, else the smallest-id vertex of maximum degree);
-    otherwise seed the chosen split vertex and recurse into its largest
-    high-degree-containing branch with thresholds recomputed from the
-    branch degrees.  The removed side keeps at least 1/rho vertices, which
-    pays for the seeded vertex in the size bound.
+    otherwise seed the high-degree vertex u whose removal leaves the
+    largest high-degree-containing branch (ties: smallest id), and recurse
+    into that branch with thresholds recomputed from the branch degrees.
+    The removed side keeps at least 1/rho vertices, which pays for the
+    seeded vertex in the size bound.
+
+    That u is always a leaf of the Steiner tree spanning the high-degree
+    vertices: for an inner Steiner vertex, a Steiner leaf on a side other
+    than its largest branch leaves a strictly larger branch.  The branch
+    left by a Steiner leaf is everything but the leaf and the low-degree
+    part hanging off it (its pendant mass), so the rule is "the Steiner
+    leaf of smallest pendant mass, then smallest id".  The Steiner tree is
+    built once by peeling low-degree leaves onto their neighbors, and each
+    split only drops the chosen leaf's pendant part, lowers the degree of
+    its one Steiner neighbor and peels forward from there.  With the leaves
+    in a (mass, id) heap the whole run costs O(n log n), on the original
+    vertex ids.
     """
     r = coerce_rho(rho)
     if not is_tree(t):
@@ -511,25 +457,72 @@ def tree_construct(t: Graph, rho: Fraction | int | str | float) -> MonopolySeed:
     p, q = r.numerator, r.denominator
     if t.n * p < q:
         raise PreconditionError(f"tree order {t.n} is below 1/rho = {q}/{p}")
+    n = t.n
+    adj = t.adj
+    deg = list(t.degrees)  # degree in the current branch
+    high = bytearray(1 if d * p >= q else 0 for d in deg)
+    n_high = sum(high)
+    alive = bytearray(b"\x01") * n
+    n_alive = n
+    in_steiner = bytearray(b"\x01") * n
+    steiner_deg = deg[:]
+    mass = [1] * n
+
+    def peel(v: int) -> int:
+        """Peel low Steiner leaves from v onward; return where the peeling stopped."""
+        while not high[v] and steiner_deg[v] == 1:
+            for y in adj[v]:
+                if in_steiner[y]:
+                    break
+            in_steiner[v] = 0
+            mass[y] += mass[v]
+            steiner_deg[y] -= 1
+            v = y
+        return v
+
+    for v in range(n):
+        if in_steiner[v]:
+            peel(v)
+    leaves = [(mass[v], v) for v in range(n) if in_steiner[v] and steiner_deg[v] == 1]
+    heapq.heapify(leaves)
     seed: list[int] = []
-    cur = t
-    to_orig = list(range(t.n))
     while True:
-        degs = cur.degrees
-        high = [u for u in range(cur.n) if degs[u] * p >= q]
-        if len(high) == 1:
-            seed.append(to_orig[high[0]])
+        if n_high == 1:
+            seed.append(high.index(1))
             break
-        if not high:
-            seed.append(to_orig[degs.index(max(degs))])
+        if n_high == 0:
+            seed.append(max(range(n), key=lambda v: deg[v] if alive[v] else -1))
             break
-        u, branch = _tree_split(cur, high)
-        seed.append(to_orig[u])
-        sub, idmap = induced_subgraph(cur, branch)
-        to_orig = [to_orig[old] for old in sorted(idmap)]
-        cur = sub
-        if cur.n * p < q:
+        _, u = heapq.heappop(leaves)
+        seed.append(u)
+        # u is a Steiner leaf: x is its one Steiner neighbor, and the rest
+        # of u's side of the edge u-x (its pendant part) leaves with it
+        for x in adj[u]:
+            if in_steiner[x]:
+                break
+        in_steiner[u] = 0
+        high[u] = 0
+        n_high -= 1
+        alive[u] = 0
+        stack = [u]
+        while stack:
+            a = stack.pop()
+            n_alive -= 1
+            for b in adj[a]:
+                if alive[b] and b != x:
+                    alive[b] = 0
+                    stack.append(b)
+        # x is the only survivor that lost a neighbor, so only x can turn low
+        deg[x] -= 1
+        steiner_deg[x] -= 1
+        if high[x] and deg[x] * p < q:
+            high[x] = 0
+            n_high -= 1
+        if n_alive * p < q:
             raise AssertionError("internal error: branch dropped below 1/rho")
+        x = peel(x)
+        if high[x] and steiner_deg[x] == 1:
+            heapq.heappush(leaves, (mass[x], x))
     seed_t = tuple(sorted(seed))
     if len(seed_t) * q > t.n * p:
         raise AssertionError("internal error: tree seed exceeded floor(rho*n)")

@@ -103,7 +103,9 @@ def prufer_decode(seq: list[int], n: int) -> Graph:
     v = heapq.heappop(leaves)
     edges.append((u, v))
     g = from_edges(n, edges)
-    expected = [1 + sum(1 for x in seq if x == u) for u in range(n)]
+    expected = [1] * n
+    for x in seq:
+        expected[x] += 1
     if list(g.degrees) != expected:
         raise AssertionError("internal error: decoded degrees disagree with the sequence")
     return g

@@ -27,6 +27,31 @@ def star_with_tail() -> Graph:
     return from_edges(8, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (6, 7)])
 
 
+def caterpillar(legs: list[int]) -> Graph:
+    """Spine path 0..k-1 where spine vertex i carries legs[i] leaves."""
+    k = len(legs)
+    edges = [(i, i + 1) for i in range(k - 1)]
+    nxt = k
+    for i, count in enumerate(legs):
+        for _ in range(count):
+            edges.append((i, nxt))
+            nxt += 1
+    return from_edges(nxt, edges)
+
+
+def spider(lengths: list[int]) -> Graph:
+    """Center 0 with one path of each given length hanging off it."""
+    edges = []
+    nxt = 1
+    for length in lengths:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev = nxt
+            nxt += 1
+    return from_edges(nxt, edges)
+
+
 def girth5_instance(n: int, c: float, seed: int, min_max_degree: int = 2) -> Graph:
     """Connected girth-(>=5) test instance with max degree at least min_max_degree.
 

@@ -1,12 +1,16 @@
 """Independent reference implementations used to freeze expected test values.
 
-Everything here is deliberately naive (full rescans, exhaustive enumeration)
-and shares no code with the package internals it checks.
+Everything here is deliberately naive (full rescans, exhaustive enumeration,
+one rebuilt subtree per split) and shares no algorithm with the package
+internals it checks.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, permutations
+
+from dynmono import Graph, induced_subgraph
 
 
 def naive_hull(adj: list[list[int]], phi, seed) -> set[int]:
@@ -60,3 +64,104 @@ def girth_by_enumeration(n: int, edges) -> int | None:
         if has_cycle_of_length(k):
             return k
     return None
+
+
+def _tree_split(t: Graph, high: list[int]) -> tuple[int, list[int]]:
+    """Choose the split vertex u and the branch of t - u to recurse into.
+
+    u maximizes the order of the largest high-degree-containing component
+    of t - u (ties: smallest id).  For that u the qualifying component is
+    unique; the further tie-break on the component's smallest vertex id is
+    defensive only.  Component orders come from one rooted subtree pass, so
+    a split costs O(n).
+    """
+    n = t.n
+    adj = t.adj
+    parent = [-2] * n
+    parent[0] = -1
+    order = [0]
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if parent[v] == -2:
+                parent[v] = u
+                order.append(v)
+                stack.append(v)
+    is_high = bytearray(n)
+    for u in high:
+        is_high[u] = 1
+    sub_size = [1] * n
+    sub_high = [0] * n
+    for u in reversed(order):
+        sub_high[u] += is_high[u]
+        p = parent[u]
+        if p >= 0:
+            sub_size[p] += sub_size[u]
+            sub_high[p] += sub_high[u]
+    total_high = len(high)
+
+    def components_of(u: int) -> list[tuple[int, int, int]]:
+        """(order, high count, anchor) for each component of t - u."""
+        out = []
+        for v in adj[u]:
+            if v == parent[u]:
+                out.append((n - sub_size[u], total_high - sub_high[u], v))
+            else:
+                out.append((sub_size[v], sub_high[v], v))
+        return out
+
+    best_u = -1
+    best_order = -1
+    for u in high:
+        cand = max((size for size, hc, _ in components_of(u) if hc > 0), default=0)
+        if cand > best_order:
+            best_order = cand
+            best_u = u
+    anchors = [a for size, hc, a in components_of(best_u) if hc > 0 and size == best_order]
+    branches = []
+    for a in anchors:
+        comp = [a]
+        seen = {a, best_u}
+        stack = [a]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+                    stack.append(y)
+        branches.append(comp)
+    branch = min(branches, key=min)
+    return best_u, branch
+
+
+def tree_construct_reference(t: Graph, rho: Fraction) -> tuple[int, ...]:
+    """Seed of the recursive tree splitter, recomputed from scratch on every branch.
+
+    Each round rebuilds the current branch as a relabelled induced
+    subgraph, recomputes degrees and the high-degree class (deg >= 1/rho),
+    and splits at the vertex chosen by :func:`_tree_split`.  With one high
+    vertex left it is seeded; with none, the smallest-id vertex of maximum
+    degree is.  Returns the sorted seed; the input must be a tree of order
+    at least 1/rho.
+    """
+    p, q = rho.numerator, rho.denominator
+    seed: list[int] = []
+    cur = t
+    to_orig = list(range(t.n))
+    while True:
+        degs = cur.degrees
+        high = [u for u in range(cur.n) if degs[u] * p >= q]
+        if len(high) == 1:
+            seed.append(to_orig[high[0]])
+            break
+        if not high:
+            seed.append(to_orig[degs.index(max(degs))])
+            break
+        u, branch = _tree_split(cur, high)
+        seed.append(to_orig[u])
+        sub, idmap = induced_subgraph(cur, branch)
+        to_orig = [to_orig[old] for old in sorted(idmap)]
+        cur = sub
+    return tuple(sorted(seed))

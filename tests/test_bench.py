@@ -51,6 +51,13 @@ def test_load_config_errors(tmp_path):
         load_config(_write_config(tmp_path, {"trials": 0}))
 
 
+@pytest.mark.parametrize("key", ["trials", "rng_seed_base"])
+@pytest.mark.parametrize("value", ["abc", None, [3]])
+def test_load_config_rejects_non_integer(tmp_path, key, value):
+    with pytest.raises(InputFormatError, match=f"{key} must be an integer"):
+        load_config(_write_config(tmp_path, {key: value}))
+
+
 def test_petersen_row_count():
     # deterministic methods emit one row per cell, randomized ones one per trial
     config = BenchConfig(

@@ -214,3 +214,12 @@ def test_bench_needs_output(capsys, tmp_path):
     cfg_path.write_text(json.dumps({"instances": [], "rhos": [], "methods": []}))
     code, _, err = run_cli(capsys, "bench", "--config", str(cfg_path))
     assert code == 1 and "output" in err
+
+
+@pytest.mark.parametrize("key", ["trials", "rng_seed_base"])
+def test_bench_bad_integer_field_exits_1(capsys, tmp_path, key):
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps({"instances": [], "rhos": [], "methods": [], key: "abc"}))
+    code, _, err = run_cli(capsys, "bench", "--config", str(cfg_path), "-o", str(tmp_path / "o.csv"))
+    assert code == 1
+    assert err.strip().count("\n") == 0 and f"{key} must be an integer" in err

@@ -31,8 +31,8 @@ from dynmono import (
     tree_construct,
     v2_baseline,
 )
-from instances import adj_lists, double_star, girth5_instance, star_with_tail
-from oracles import naive_is_monopoly
+from instances import adj_lists, caterpillar, double_star, girth5_instance, spider, star_with_tail
+from oracles import naive_is_monopoly, tree_construct_reference
 
 
 # ---------------------------------------------------------------- abw
@@ -405,6 +405,42 @@ def test_tree_long_path_rho_one():
     ms = tree_construct(p200, 1)
     assert ms.size <= 200
     assert is_monopoly(p200, proportional_thresholds(p200, 1), ms.seed)
+
+
+TREE_RHOS = [Fraction(1), Fraction(2, 3), Fraction(1, 2), Fraction(2, 5), Fraction(1, 3), Fraction(1, 4), Fraction(1, 7)]
+
+
+def _reference_trees():
+    rng = random.Random(808)
+    for n in range(1, 16):
+        yield generate(GeneratorSpec("star", n))
+        yield generate(GeneratorSpec("path", n))
+    for _ in range(60):
+        yield caterpillar([rng.choice([0, 0, 1, 2, 3, 6]) for _ in range(rng.randint(1, 14))])
+        yield spider([rng.randint(1, 6) for _ in range(rng.randint(1, 8))])
+    for _ in range(300):
+        n = rng.randint(1, 60)
+        yield generate(GeneratorSpec("random_tree", n, rng_seed=rng.randrange(10**6)))
+
+
+def test_tree_construct_matches_reference_splitter():
+    pairs = 0
+    for t in _reference_trees():
+        for rho in TREE_RHOS:
+            if t.n * rho.numerator < rho.denominator:
+                continue
+            assert tree_construct(t, rho).seed == tree_construct_reference(t, rho), (t, rho)
+            pairs += 1
+    assert pairs > 2000
+
+
+def test_tree_construct_large_random_tree():
+    # the Steiner-leaf pass on 2*10^4 vertices, checked against the bound and the hull
+    t = generate(GeneratorSpec("random_tree", 20000, rng_seed=5))
+    rho = Fraction(1, 3)
+    ms = tree_construct(t, rho)
+    assert ms.size <= 20000 // 3
+    assert is_monopoly(t, proportional_thresholds(t, rho), ms.seed)
 
 
 # ---------------------------------------------------------------- v2 baseline

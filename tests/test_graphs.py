@@ -96,9 +96,9 @@ def test_girth_classics():
 
 def test_girth_against_enumeration():
     rng = random.Random(99)
-    for _ in range(120):
-        n = rng.randint(1, 8)
-        g = gnp(n, rng.uniform(0.1, 0.7), rng)
+    for _ in range(400):
+        n = rng.randint(0, 8)
+        g = gnp(n, rng.uniform(0.05, 0.7), rng)
         expected = girth_by_enumeration(n, g.edges())
         got = girth(g)
         if expected is None:
@@ -106,6 +106,50 @@ def test_girth_against_enumeration():
         else:
             assert got == expected
         assert girth_at_least_five(g) == (got >= 5)
+
+
+def test_girth_acyclic_inputs():
+    assert girth(from_edges(1, [])) == ACYCLIC
+    assert girth(generate(GeneratorSpec("star", 9))) == ACYCLIC
+    forest = from_edges(7, [(0, 1), (1, 2), (3, 4), (4, 5), (4, 6)])
+    assert girth(forest) == ACYCLIC
+    for seed in range(5):
+        assert girth(generate(GeneratorSpec("random_tree", 300, rng_seed=seed))) == ACYCLIC
+
+
+def _path_edges(start: int, length: int, anchor: int) -> list[tuple[int, int]]:
+    """Edges of a path start..start+length-1 hung from ``anchor``."""
+    ids = [anchor] + list(range(start, start + length))
+    return list(zip(ids, ids[1:]))
+
+
+def test_girth_cycle_with_pendant_trees():
+    # C6 on 0..5; long pendant paths and a small tree hang off it
+    edges = [(i, (i + 1) % 6) for i in range(6)]
+    edges += _path_edges(6, 40, 0)
+    edges += _path_edges(46, 25, 3)
+    edges += [(2, 71), (71, 72), (71, 73), (73, 74)]
+    assert girth(from_edges(75, edges)) == 6
+
+
+def test_girth_two_cycles_joined_by_a_long_path():
+    # C7 on 0..6 and C5 on 7..11, joined by a 30-edge path 0 ~ 7
+    edges = [(i, (i + 1) % 7) for i in range(7)]
+    edges += [(7 + i, 7 + (i + 1) % 5) for i in range(5)]
+    ids = [0] + list(range(12, 41)) + [7]
+    edges += list(zip(ids, ids[1:]))
+    # the path vertices stay in the 2-core but lie on no cycle
+    assert girth(from_edges(41, edges)) == 5
+
+
+def test_girth_tree_component_and_cycle_component():
+    tree = [(0, 1), (1, 2), (1, 3), (3, 4), (4, 5)]
+    cycle = [(6 + i, 6 + (i + 1) % 8) for i in range(8)]
+    assert girth(from_edges(14, tree + cycle)) == 8
+    # the same with the cycle placed first in id order
+    cycle = [(i, (i + 1) % 8) for i in range(8)]
+    tree = [(8, 9), (9, 10), (10, 11), (10, 12), (12, 13)]
+    assert girth(from_edges(14, cycle + tree)) == 8
 
 
 def test_components():
