@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .cascade import is_monopoly, parse_rho, proportional_thresholds
-from .constructors import abw_construct, girth5_construct, tree_construct, v2_baseline
+from .constructors import BUILDERS
 from .errors import InputFormatError, PreconditionError
 from .exact import abw_bound
 from .generators import GeneratorSpec, generate
@@ -47,7 +47,7 @@ CSV_COLUMNS = [
 ]
 
 DETERMINISTIC_METHODS = ("tree", "v2")
-METHODS = ("abw", "girth5", "tree", "v2")
+METHODS = tuple(BUILDERS)
 
 CONST_583 = 2.0 * math.sqrt(2.0) + 3.0
 CONST_492 = 4.92
@@ -134,12 +134,13 @@ def _parse_method(entry) -> MethodSpec:
     )
 
 
-def _config_int(path: str | Path, raw: dict, key: str, default: int) -> int:
+def _config_number(path: str | Path, raw: dict, key: str, default, kind=int):
     value = raw.get(key, default)
     try:
-        return int(value)
+        return kind(value)
     except (TypeError, ValueError):
-        raise InputFormatError(f"{path}: {key} must be an integer, got {value!r}") from None
+        what = "an integer" if kind is int else "a number"
+        raise InputFormatError(f"{path}: {key} must be {what}, got {value!r}") from None
 
 
 def load_config(path: str | Path) -> BenchConfig:
@@ -156,7 +157,7 @@ def load_config(path: str | Path) -> BenchConfig:
         rhos = tuple(parse_rho(str(r)) for r in raw.get("rhos", []))
     except (TypeError, ValueError) as exc:
         raise InputFormatError(f"{path}: {exc}") from None
-    trials = _config_int(path, raw, "trials", 1)
+    trials = _config_number(path, raw, "trials", 1)
     if trials < 1:
         raise InputFormatError("trials must be at least 1")
     return BenchConfig(
@@ -164,8 +165,8 @@ def load_config(path: str | Path) -> BenchConfig:
         rhos=rhos,
         methods=methods,
         trials=trials,
-        rng_seed_base=_config_int(path, raw, "rng_seed_base", 0),
-        epsilon=float(raw["epsilon"]) if raw.get("epsilon") is not None else None,
+        rng_seed_base=_config_number(path, raw, "rng_seed_base", 0),
+        epsilon=_config_number(path, raw, "epsilon", None, float) if raw.get("epsilon") is not None else None,
         output=str(raw["output"]) if raw.get("output") is not None else None,
     )
 
@@ -181,30 +182,13 @@ def _load_instance(inst: InstanceSpec, base_dir: Path) -> Graph:
 
 def _run_cell(g: Graph, rho: Fraction, method: MethodSpec, rng_seed: int):
     """Returns (seed tuple, rounds, fallback, delta string)."""
-    if method.name == "abw":
-        ms = abw_construct(g, proportional_thresholds(g, rho), rng_seed=rng_seed)
+    ms = BUILDERS[method.name](
+        g, rho, rng_seed, delta=method.delta, epsilon=method.epsilon, max_rounds=method.max_rounds,
+        max_restarts=method.max_restarts, allow_low_girth=method.allow_low_girth,
+    )
+    if ms.trace is None:
         return ms.seed, "", "", ""
-    if method.name == "v2":
-        return v2_baseline(g, rho).seed, "", "", ""
-    if method.name == "tree":
-        return tree_construct(g, rho).seed, "", "", ""
-    ms = girth5_construct(
-        g,
-        rho,
-        delta=method.delta,
-        rng_seed=rng_seed,
-        max_rounds=method.max_rounds,
-        max_restarts=method.max_restarts,
-        allow_low_girth=method.allow_low_girth,
-        epsilon=method.epsilon,
-    )
-    assert ms.trace is not None
-    return (
-        ms.seed,
-        str(len(ms.trace.rounds)),
-        str(ms.trace.fallback_used).lower(),
-        ms.params["delta"],
-    )
+    return ms.seed, str(len(ms.trace.rounds)), str(ms.trace.fallback_used).lower(), ms.params["delta"]
 
 
 def run_bench(config: BenchConfig, base_dir: str | Path = ".") -> BenchResult:

@@ -6,6 +6,12 @@ neighbors are active, and never deactivates.  The hull of a seed is the
 unique smallest closed superset, i.e. the final active set.  A seed whose
 hull is the whole vertex set is a dynamic monopoly (perfect target set).
 
+All propagation runs on one incremental engine, ``Cascade``: ``add(T)`` on
+a state closed at hull(S) leaves hull(S | T), since every closed superset of
+S | T contains hull(S) | T.  ``hull`` is one add on a fresh state; the greedy
+kernel and the girth5 rounds extend one state, the exact search runs one per
+candidate.
+
 Thresholds of the proportional family are phi(u) = ceil(rho * deg(u)) for a
 rational rho in (0, 1].  All threshold arithmetic is exact: rho is a
 `fractions.Fraction`, and the ceiling is computed in integer arithmetic, so
@@ -14,7 +20,6 @@ the tight cases (rho * deg integral) are never corrupted by float rounding.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -114,86 +119,69 @@ class CascadeResult:
         }
 
 
-def _validate_seed(g: Graph, seed: Iterable[int]) -> list[int]:
-    seed_list = sorted(set(seed))
-    if seed_list and (seed_list[0] < 0 or seed_list[-1] >= g.n):
-        raise PreconditionError(f"seed contains ids outside 0..{g.n - 1}")
-    return seed_list
+class Cascade:
+    """Active set, active-neighbor counters and rounds on one graph and threshold profile.
+
+    A run of adds ends on the hull of every seed added so far, each add costing
+    the degrees of the vertices it activates.  A fresh state is closed after its
+    first add.  Ids are not validated (``hull`` does).
+    """
+
+    def __init__(self, g: Graph, phi: Thresholds):
+        self.adj = g.adj
+        self.phi = phi
+        self.active = bytearray(g.n)
+        self.count = [0] * g.n
+        self.rounds: dict[int, int] = {}
+        self._zero = [u for u, t in enumerate(phi) if t <= 0]
+
+    def add(self, seeds: Iterable[int]) -> int:
+        """Activate ``seeds``, close under the thresholds and return the active count.
+
+        Rounds count the synchronous waves of this add: new seeds are round
+        0, and vertices with phi = 0 join at round 1 of the first add.
+        """
+        adj, phi, active, count, rounds = self.adj, self.phi, self.active, self.count, self.rounds
+        wave = []
+        for u in seeds:
+            if not active[u]:
+                active[u] = 1
+                rounds[u] = 0
+                wave.append(u)
+        # a vertex is ready once: phi = 0 ones here, the rest when their count reaches phi
+        ready = [u for u in self._zero if not active[u]] if self._zero else []
+        self._zero = None
+        generation = 0
+        while True:
+            for u in wave:
+                for v in adj[u]:
+                    c = count[v] + 1
+                    count[v] = c
+                    if c == phi[v] and not active[v]:
+                        ready.append(v)
+            if not ready:
+                return len(rounds)
+            wave = sorted(ready)
+            ready = []
+            generation += 1
+            for u in wave:
+                active[u] = 1
+                rounds[u] = generation
 
 
 def hull(g: Graph, phi: Thresholds, seed: Iterable[int], *, validate: bool = True) -> CascadeResult:
-    """Compute the activation hull of ``seed``.
+    """Compute the activation hull of ``seed``: one ``Cascade.add`` on a fresh state.
 
-    Worklist propagation with per-vertex active-neighbor counters; each wave
-    activates simultaneously every eligible vertex, which yields the unique
-    least fixpoint regardless of processing order.  Vertices with phi = 0
-    (exactly the isolated vertices under proportional thresholds) belong to
-    every hull and join at round 1 when not seeded.
+    Vertices with phi = 0 are in every hull and join at round 1 unless seeded.
     """
     if validate:
         check_thresholds(g, phi)
-    seed_list = _validate_seed(g, seed)
-    n = g.n
-    adj = g.adj
-    active = bytearray(n)
-    count = [0] * n
-    rounds: dict[int, int] = {}
-    for u in seed_list:
-        active[u] = 1
-        rounds[u] = 0
-    for u in seed_list:
-        for v in adj[u]:
-            count[v] += 1
-    wave = [u for u in range(n) if not active[u] and count[u] >= phi[u]]
-    generation = 0
-    while wave:
-        generation += 1
-        for u in wave:
-            active[u] = 1
-            rounds[u] = generation
-        touched: list[int] = []
-        for u in wave:
-            for v in adj[u]:
-                count[v] += 1
-                if not active[v]:
-                    touched.append(v)
-        wave = sorted({v for v in touched if not active[v] and count[v] >= phi[v]})
-    return CascadeResult(active=frozenset(rounds), rounds=rounds, is_monopoly=len(rounds) == n)
-
-
-def hull_active_shuffled(g: Graph, phi: Thresholds, seed: Iterable[int], rng: random.Random) -> frozenset[int]:
-    """Active set of the hull under a randomized asynchronous processing order.
-
-    Activates one eligible vertex at a time, chosen uniformly from the
-    pending worklist.  Used to exercise confluence: the result must equal
-    hull(...).active for every ordering.
-    """
-    check_thresholds(g, phi)
-    seed_list = _validate_seed(g, seed)
-    n = g.n
-    adj = g.adj
-    active = bytearray(n)
-    count = [0] * n
-    for u in seed_list:
-        active[u] = 1
-    for u in seed_list:
-        for v in adj[u]:
-            count[v] += 1
-    pending = [u for u in range(n) if not active[u] and count[u] >= phi[u]]
-    out = set(seed_list)
-    while pending:
-        i = rng.randrange(len(pending))
-        pending[i], pending[-1] = pending[-1], pending[i]
-        u = pending.pop()
-        if active[u]:
-            continue
-        active[u] = 1
-        out.add(u)
-        for v in adj[u]:
-            count[v] += 1
-            if not active[v] and count[v] >= phi[v]:
-                pending.append(v)
-    return frozenset(out)
+    seed_list = sorted(set(seed))
+    if seed_list and (seed_list[0] < 0 or seed_list[-1] >= g.n):
+        raise PreconditionError(f"seed contains ids outside 0..{g.n - 1}")
+    state = Cascade(g, phi)
+    size = state.add(seed_list)
+    return CascadeResult(active=frozenset(state.rounds), rounds=state.rounds, is_monopoly=size == g.n)
 
 
 def is_monopoly(g: Graph, phi: Thresholds, seed: Iterable[int]) -> bool:

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 input error (including usage errors), 2 operation
-precondition violation, 3 refused oversize exact search.
+precondition violation, 3 refused oversize exact search, 4 internal error (a
+failed self-check: a bug, reported as one line).
 """
 
 from __future__ import annotations
@@ -14,13 +15,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .cascade import hull, parse_rho, parse_seed_set, proportional_thresholds
-from .constructors import (
-    abw_construct,
-    girth5_construct,
-    girth5_params,
-    tree_construct,
-    v2_baseline,
-)
+from .constructors import BUILDERS, girth5_params
 from .errors import InputFormatError, PreconditionError, SizeLimitError
 from .exact import DEFAULT_SIZE_LIMIT, min_monopoly_exact
 from .generators import FAMILIES, GeneratorSpec, generate
@@ -113,27 +108,10 @@ def cmd_solve(args) -> int:
 
 def cmd_construct(args) -> int:
     g = _load_graph(args.graph)
-    rho = parse_rho(args.rho)
-    if args.method == "abw":
-        seed = abw_construct(g, proportional_thresholds(g, rho), rng_seed=args.rng_seed)
-    elif args.method == "tree":
-        seed = tree_construct(g, rho)
-    elif args.method == "v2":
-        seed = v2_baseline(g, rho)
-    else:
-        delta = args.delta
-        if delta is None:
-            delta = str(girth5_params(args.epsilon).delta) if args.epsilon is not None else "1/2"
-        seed = girth5_construct(
-            g,
-            rho,
-            delta=delta,
-            rng_seed=args.rng_seed,
-            max_rounds=args.max_rounds,
-            max_restarts=args.max_restarts,
-            allow_low_girth=args.allow_low_girth,
-            epsilon=args.epsilon,
-        )
+    seed = BUILDERS[args.method](
+        g, parse_rho(args.rho), args.rng_seed, delta=args.delta, epsilon=args.epsilon,
+        max_rounds=args.max_rounds, max_restarts=args.max_restarts, allow_low_girth=args.allow_low_girth,
+    )
     print(json.dumps(seed.to_json_dict(), indent=2))
     return 0
 
@@ -199,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build a monopoly seed")
     p.add_argument("-g", "--graph", required=True)
     p.add_argument("--rho", required=True)
-    p.add_argument("--method", required=True, choices=list(bench_mod.METHODS))
+    p.add_argument("--method", required=True, choices=list(BUILDERS))
     p.add_argument("--delta", default=None, help="slack parameter for girth5 (default 1/2, or derived from --epsilon)")
     p.add_argument("--epsilon", type=float, default=None, help="derive delta from a 2+epsilon size budget")
     p.add_argument("--rng-seed", type=int, default=0)
@@ -240,6 +218,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

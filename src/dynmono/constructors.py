@@ -43,9 +43,10 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .cascade import (
+    Cascade,
     Thresholds,
     check_thresholds,
     coerce_fraction,
@@ -211,7 +212,7 @@ class MonopolySeed:
 
 def _verify(g: Graph, phi: Thresholds, seed: Iterable[int], method: str) -> None:
     if not hull(g, phi, seed, validate=False).is_monopoly:
-        raise AssertionError(f"internal error: {method} produced a non-monopoly seed")
+        raise AssertionError(f"{method} produced a non-monopoly seed")
 
 
 def abw_seed_from_permutation(g: Graph, phi: Thresholds, order: Iterable[int]) -> tuple[int, ...]:
@@ -261,6 +262,11 @@ def greedy_kernel(
     (1+delta) * rho * n vertices and every remaining high-degree vertex has
     at most deg/(1+delta) unabsorbed low-degree neighbors.  Both exit
     properties are asserted; comparisons are exact rational arithmetic.
+
+    The kernel hull only grows, so a vertex that fails the test once fails
+    it for good and each pick has a larger id than the last: one forward
+    pass over the high-degree vertices, extending one ``Cascade`` per pick,
+    chooses the same kernel in O(n + m).
     """
     r = coerce_rho(rho)
     d = coerce_fraction(delta)
@@ -269,35 +275,25 @@ def greedy_kernel(
     part = degree_partition(g, r)
     if not part.high:
         raise PreconditionError("no vertex of degree >= 1/rho: greedy kernel undefined")
-    phi = proportional_thresholds(g, r)
     dp, dq = d.numerator, d.denominator  # count > deg/(1+d)  <=>  count*(dp+dq) > deg*dq
     low = set(part.low)
     degrees = g.degrees
+    state = Cascade(g, proportional_thresholds(g, r))  # its phi = 0 vertices are isolated: no one's neighbors
+    absorbed = state.active
+
+    def holds_out(u: int) -> bool:
+        cnt = sum(1 for v in g.adj[u] if v in low and not absorbed[v])
+        return cnt * (dp + dq) > degrees[u] * dq
+
     kernel: list[int] = []
-    in_kernel: set[int] = set()
-    absorbed = hull(g, phi, kernel, validate=False).active
-    while True:
-        pick = -1
-        for u in part.high:
-            if u in in_kernel:
-                continue
-            cnt = sum(1 for v in g.adj[u] if v in low and v not in absorbed)
-            if cnt * (dp + dq) > degrees[u] * dq:
-                pick = u
-                break
-        if pick < 0:
-            break
-        kernel.append(pick)
-        in_kernel.add(pick)
-        absorbed = hull(g, phi, kernel, validate=False).active
     for u in part.high:
-        if u in in_kernel:
-            continue
-        cnt = sum(1 for v in g.adj[u] if v in low and v not in absorbed)
-        if cnt * (dp + dq) > degrees[u] * dq:
-            raise AssertionError("internal error: kernel terminated non-maximally")
+        if holds_out(u):
+            kernel.append(u)
+            state.add((u,))
+    if any(map(holds_out, part.high)):  # kernel vertices pass: their low neighbors are absorbed
+        raise AssertionError("kernel terminated non-maximally")
     if len(kernel) > (1 + d) * r * g.n:
-        raise AssertionError("internal error: kernel exceeded (1+delta)*rho*n")
+        raise AssertionError("kernel exceeded (1+delta)*rho*n")
     return tuple(kernel)
 
 
@@ -310,27 +306,23 @@ def _sampling_rounds(
     max_rounds: int,
     rng: random.Random,
 ) -> tuple[tuple[int, ...], tuple[RoundRecord, ...], bool]:
-    """One full run of the random rounds on top of a fixed kernel."""
-    seed: list[int] = list(kernel)
-    current = hull(g, phi, seed, validate=False)
-    sampled_sets: list[list[int]] = []
+    """One full run of the random rounds, extending one cascade from the kernel."""
+    state = Cascade(g, phi)
+    size = state.add(kernel)
+    seed, raw = list(kernel), list(kernel)
     records: list[RoundRecord] = []
-    while not current.is_monopoly and len(records) < max_rounds:
+    while size < g.n and len(records) < max_rounds:
         xi = [u for u in pool if rng.random() < p1]
-        yi = tuple(u for u in xi if u not in current.active)
-        sampled_sets.append(xi)
+        yi = tuple(u for u in xi if not state.active[u])
         seed.extend(yi)
-        current = hull(g, phi, seed, validate=False)
-        # the discarded samples are exactly the already-absorbed ones, so the
-        # hull of kernel + all raw samples must match the hull of the seed
-        raw = list(kernel) + [u for xs in sampled_sets for u in xs]
-        if hull(g, phi, raw, validate=False).active != current.active:
-            raise AssertionError("internal error: raw-sample hull diverged from seed hull")
-        records.append(RoundRecord(sampled=len(xi), added=yi, hull_size=len(current.active)))
-    fallback = False
-    if not current.is_monopoly:
-        fallback = True
-        seed.extend(u for u in range(g.n) if u not in current.active)
+        raw.extend(xi)
+        size = state.add(yi)
+        # discarded samples are exactly the absorbed ones: a from-scratch hull of kernel + raw samples must agree
+        if hull(g, phi, raw, validate=False).active != frozenset(state.rounds):
+            raise AssertionError("raw-sample hull diverged from seed hull")
+        records.append(RoundRecord(sampled=len(xi), added=yi, hull_size=size))
+    fallback = size < g.n  # then every vertex still inactive is added
+    seed.extend(u for u in range(g.n) if not state.active[u])
     return tuple(sorted(seed)), tuple(records), fallback
 
 
@@ -519,13 +511,13 @@ def tree_construct(t: Graph, rho: Fraction | int | str | float) -> MonopolySeed:
             high[x] = 0
             n_high -= 1
         if n_alive * p < q:
-            raise AssertionError("internal error: branch dropped below 1/rho")
+            raise AssertionError("branch dropped below 1/rho")
         x = peel(x)
         if high[x] and steiner_deg[x] == 1:
             heapq.heappush(leaves, (mass[x], x))
     seed_t = tuple(sorted(seed))
     if len(seed_t) * q > t.n * p:
-        raise AssertionError("internal error: tree seed exceeded floor(rho*n)")
+        raise AssertionError("tree seed exceeded floor(rho*n)")
     _verify(t, proportional_thresholds(t, r), seed_t, "tree")
     return MonopolySeed(method="tree", seed=seed_t, params={"rho": str(r)}, verified=True)
 
@@ -543,3 +535,20 @@ def v2_baseline(g: Graph, rho: Fraction | int | str | float) -> MonopolySeed:
     seed = part.high if part.high else (0,)
     _verify(g, proportional_thresholds(g, r), seed, "v2")
     return MonopolySeed(method="v2", seed=tuple(seed), params={"rho": str(r)}, verified=True)
+
+
+def _girth5_builder(g: Graph, rho: Fraction, rng_seed: int, *, delta=None, epsilon=None, **options) -> MonopolySeed:
+    if delta is None:
+        delta = str(girth5_params(epsilon).delta) if epsilon is not None else "1/2"
+    return girth5_construct(g, rho, delta=delta, rng_seed=rng_seed, epsilon=epsilon, **options)
+
+
+# Method name -> builder(g, rho, rng_seed, **options), the one dispatch of the CLI and the bench.
+# Only girth5 reads the options (girth5_construct's keywords; a None delta comes from epsilon, else
+# 1/2).  Builders look constructors up at call time, so wrappers on those names see every call.
+BUILDERS: dict[str, Callable[..., MonopolySeed]] = {
+    "abw": lambda g, rho, rng_seed, **_: abw_construct(g, proportional_thresholds(g, rho), rng_seed=rng_seed),
+    "girth5": _girth5_builder,
+    "tree": lambda g, rho, rng_seed, **_: tree_construct(g, rho),
+    "v2": lambda g, rho, rng_seed, **_: v2_baseline(g, rho),
+}

@@ -2,6 +2,7 @@
 
 The CLI maps these onto exit codes: input/format problems exit 1,
 violated operation preconditions exit 2, refused oversize instances exit 3.
+A failed internal self-check raises ``AssertionError`` and exits 4.
 """
 
 

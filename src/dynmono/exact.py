@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cascade import Thresholds, check_thresholds, hull
+from .cascade import Cascade, Thresholds, check_thresholds
 from .errors import SizeLimitError
 from .graphs import Graph
 
@@ -35,7 +35,7 @@ def min_monopoly_exact(
     """Minimum size of a monopoly, with a lexicographically-least witness.
 
     Refuses graphs larger than ``limit`` vertices unless ``force`` is set;
-    the search performs up to 2^n hull evaluations.
+    the search runs up to 2^n cascades, which ``nodes_explored`` counts.
     """
     check_thresholds(g, phi)
     if g.n > limit and not force:
@@ -46,7 +46,7 @@ def min_monopoly_exact(
     for k in range(g.n + 1):
         for cand in itertools.combinations(range(g.n), k):
             explored += 1
-            if hull(g, phi, cand, validate=False).is_monopoly:
+            if Cascade(g, phi).add(cand) == g.n:
                 return ExactResult(h=k, witness=cand, nodes_explored=explored)
     raise AssertionError("unreachable: the full vertex set is always a monopoly")
 

@@ -107,7 +107,7 @@ def prufer_decode(seq: list[int], n: int) -> Graph:
     for x in seq:
         expected[x] += 1
     if list(g.degrees) != expected:
-        raise AssertionError("internal error: decoded degrees disagree with the sequence")
+        raise AssertionError("decoded degrees disagree with the sequence")
     return g
 
 

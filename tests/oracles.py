@@ -7,6 +7,7 @@ internals it checks.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -26,6 +27,63 @@ def naive_hull(adj: list[list[int]], phi, seed) -> set[int]:
                 active.add(u)
                 changed = True
     return active
+
+
+def hull_active_shuffled(g: Graph, phi, seed, rng: random.Random) -> frozenset[int]:
+    """Active set of the hull under a randomized asynchronous processing order.
+
+    Activates one eligible vertex at a time, chosen uniformly from the
+    pending worklist.  Used to exercise confluence: the result must equal
+    hull(...).active for every ordering.
+    """
+    n = g.n
+    adj = g.adj
+    active = bytearray(n)
+    count = [0] * n
+    for u in seed:
+        active[u] = 1
+    for u in set(seed):
+        for v in adj[u]:
+            count[v] += 1
+    pending = [u for u in range(n) if not active[u] and count[u] >= phi[u]]
+    out = set(seed)
+    while pending:
+        i = rng.randrange(len(pending))
+        pending[i], pending[-1] = pending[-1], pending[i]
+        u = pending.pop()
+        if active[u]:
+            continue
+        active[u] = 1
+        out.add(u)
+        for v in adj[u]:
+            count[v] += 1
+            if not active[v] and count[v] >= phi[v]:
+                pending.append(v)
+    return frozenset(out)
+
+
+def greedy_kernel_reference(g: Graph, rho: Fraction, delta: Fraction) -> tuple[int, ...]:
+    """Greedy kernel by the restart loop: a full naive hull and a rescan from id 0 per pick.
+
+    Picks the smallest-id high-degree vertex (deg >= 1/rho) outside the
+    kernel with more than deg/(1+delta) low-degree neighbors outside the
+    kernel hull, until none is left.  The input must have a high vertex.
+    """
+    adj = [list(nbrs) for nbrs in g.adj]
+    phi = [-(-d * rho.numerator // rho.denominator) for d in g.degrees]
+    high = [u for u in range(g.n) if g.degrees[u] * rho >= 1]
+    kernel: list[int] = []
+    while True:
+        absorbed = naive_hull(adj, phi, kernel)
+        for u in high:
+            if u in kernel:
+                continue
+            outside = sum(1 for v in adj[u] if g.degrees[v] * rho < 1 and v not in absorbed)
+            if outside > g.degrees[u] / (1 + delta):
+                kernel.append(u)
+                break
+        else:
+            return tuple(kernel)
 
 
 def naive_is_monopoly(adj: list[list[int]], phi, seed) -> bool:

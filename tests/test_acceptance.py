@@ -32,7 +32,6 @@ from dynmono import (
     greedy_kernel,
     growth_constant,
     hull,
-    hull_active_shuffled,
     is_connected,
     is_monopoly,
     load_config,
@@ -47,6 +46,7 @@ from dynmono import (
 )
 from dynmono.bench import CSV_COLUMNS, write_csv
 from instances import dominance_fixtures, girth5_instance, gnp, small_fixtures
+from oracles import hull_active_shuffled
 
 
 @contextmanager

@@ -51,11 +51,18 @@ def test_load_config_errors(tmp_path):
         load_config(_write_config(tmp_path, {"trials": 0}))
 
 
-@pytest.mark.parametrize("key", ["trials", "rng_seed_base"])
+NUMBER_FIELDS = {"trials": "an integer", "rng_seed_base": "an integer", "epsilon": "a number"}
+
+
+@pytest.mark.parametrize("key", list(NUMBER_FIELDS))
 @pytest.mark.parametrize("value", ["abc", None, [3]])
 def test_load_config_rejects_non_integer(tmp_path, key, value):
-    with pytest.raises(InputFormatError, match=f"{key} must be an integer"):
-        load_config(_write_config(tmp_path, {key: value}))
+    path = _write_config(tmp_path, {key: value})
+    if key == "epsilon" and value is None:
+        assert load_config(path).epsilon is None  # null leaves epsilon unset
+        return
+    with pytest.raises(InputFormatError, match=f"{key} must be {NUMBER_FIELDS[key]}"):
+        load_config(path)
 
 
 def test_petersen_row_count():

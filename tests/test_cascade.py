@@ -16,15 +16,15 @@ from dynmono import (
     from_edges,
     generate,
     hull,
-    hull_active_shuffled,
     is_monopoly,
     parse_rho,
     parse_seed_set,
     petersen,
     proportional_thresholds,
 )
+from dynmono.cascade import Cascade
 from instances import adj_lists, gnp
-from oracles import naive_hull
+from oracles import hull_active_shuffled, naive_hull
 
 
 def test_parse_rho():
@@ -152,6 +152,13 @@ def test_hull_closure_laws_quick():
         assert set(again.rounds.values()) <= {0}
         for _ in range(5):
             assert hull_active_shuffled(g, phi, a, rng) == ra.active
+        # one incremental state fed b in random chunks ends on the hull of b
+        order = sorted(b, key=lambda _: rng.random())
+        cuts = sorted(rng.randint(0, len(order)) for _ in range(3))
+        state = Cascade(g, phi)
+        for lo, hi in zip([0, *cuts], [*cuts, len(order)]):
+            state.add(order[lo:hi])
+        assert frozenset(u for u in range(n) if state.active[u]) == rb.active
 
 
 def test_hull_fixed_point_characterization():

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from dynmono import constructors
 from dynmono.cli import main
 
 
@@ -216,10 +217,21 @@ def test_bench_needs_output(capsys, tmp_path):
     assert code == 1 and "output" in err
 
 
-@pytest.mark.parametrize("key", ["trials", "rng_seed_base"])
+@pytest.mark.parametrize("key", ["trials", "rng_seed_base", "epsilon"])
 def test_bench_bad_integer_field_exits_1(capsys, tmp_path, key):
     cfg_path = tmp_path / "bench.json"
     cfg_path.write_text(json.dumps({"instances": [], "rhos": [], "methods": [], key: "abc"}))
     code, _, err = run_cli(capsys, "bench", "--config", str(cfg_path), "-o", str(tmp_path / "o.csv"))
     assert code == 1
-    assert err.strip().count("\n") == 0 and f"{key} must be an integer" in err
+    kind = "a number" if key == "epsilon" else "an integer"
+    assert err.strip().count("\n") == 0 and f"{key} must be {kind}" in err
+
+
+def test_internal_error_exits_4(capsys, monkeypatch, petersen_file):
+    def broken(*args, **kwargs):
+        raise AssertionError("v2 produced a non-monopoly seed")
+
+    monkeypatch.setitem(constructors.BUILDERS, "v2", broken)
+    code, out, err = run_cli(capsys, "construct", "-g", str(petersen_file), "--rho", "1/3", "--method", "v2")
+    assert code == 4 and out == ""
+    assert err == "internal error: v2 produced a non-monopoly seed\n"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
 import statistics
@@ -32,7 +34,7 @@ from dynmono import (
     v2_baseline,
 )
 from instances import adj_lists, caterpillar, double_star, girth5_instance, spider, star_with_tail
-from oracles import naive_is_monopoly, tree_construct_reference
+from oracles import greedy_kernel_reference, naive_is_monopoly, tree_construct_reference
 
 
 # ---------------------------------------------------------------- abw
@@ -171,6 +173,41 @@ def test_kernel_two_adjacent_hubs():
     assert greedy_kernel(g, "1/6", "1/2") == (0,)
 
 
+KERNEL_RHOS = tuple(Fraction(1, k) for k in (1, 2, 3, 4, 7))
+KERNEL_DELTAS = (Fraction(1, 10), Fraction(3, 10), Fraction(1, 2))
+
+
+def _kernel_graphs():
+    rng = random.Random(2024)
+    yield star_with_tail()
+    yield from_edges(12, [(0, 1)] + [(0, v) for v in range(2, 7)] + [(1, v) for v in range(7, 12)])
+    yield _spider()
+    yield _spider(hubs=4, leaves=5, path_len=2)
+    for _ in range(30):
+        yield spider([rng.randint(1, 4) for _ in range(rng.randint(2, 9))])
+        yield caterpillar([rng.randint(0, 6) for _ in range(rng.randint(1, 8))])
+    for _ in range(60):
+        yield generate(GeneratorSpec("random_tree", rng.randint(2, 60), rng_seed=rng.randrange(10**6)))
+    for idx in range(60):
+        yield girth5_instance(rng.randint(10, 60), rng.uniform(2.0, 4.0), seed=idx)
+
+
+def test_greedy_kernel_matches_restart_loop():
+    # the forward pass on one Cascade must pick what the restart loop over
+    # from-scratch naive hulls picks
+    triples = 0
+    for g in _kernel_graphs():
+        for rho in KERNEL_RHOS:
+            for delta in KERNEL_DELTAS:
+                if g.max_degree * rho < 1:
+                    with pytest.raises(PreconditionError):
+                        greedy_kernel(g, rho, delta)
+                    continue
+                assert greedy_kernel(g, rho, delta) == greedy_kernel_reference(g, rho, delta), (g, rho, delta)
+                triples += 1
+    assert triples > 2000
+
+
 def test_kernel_precondition_errors():
     p3 = generate(GeneratorSpec("path", 3))
     with pytest.raises(PreconditionError):
@@ -233,27 +270,28 @@ def test_girth5_fallback_with_zero_rounds():
 def test_girth5_trace_invariants_recomputed():
     for idx in range(6):
         g = girth5_instance(80, 2.5, seed=100 + idx)
-        rho = Fraction(1, g.max_degree)
-        ms = girth5_construct(g, rho, delta="1/2", rng_seed=idx, max_restarts=1)
-        phi = proportional_thresholds(g, rho)
-        trace = ms.trace
-        running = list(trace.kernel)
-        prev_active = hull(g, phi, running).active
-        assert len(prev_active) == trace.kernel_hull_size
-        prev_size = len(prev_active)
-        seen: set[int] = set()
-        for rec in trace.rounds:
-            assert not (set(rec.added) & prev_active)  # new additions were not absorbed
-            assert not (set(rec.added) & seen)
-            seen |= set(rec.added)
-            running.extend(rec.added)
+        # at rho = 1/max_degree the kernel alone floods these graphs; 1/3 leaves rounds to run
+        for rho in (Fraction(1, g.max_degree), Fraction(1, 3)):
+            ms = girth5_construct(g, rho, delta="1/2", rng_seed=idx, max_restarts=1)
+            phi = proportional_thresholds(g, rho)
+            trace = ms.trace
+            running = list(trace.kernel)
             prev_active = hull(g, phi, running).active
-            assert len(prev_active) == rec.hull_size
-            assert rec.hull_size >= prev_size
-            prev_size = rec.hull_size
-        if not trace.fallback_used:
-            assert len(prev_active) == g.n
-            assert set(ms.seed) == set(running)
+            assert len(prev_active) == trace.kernel_hull_size
+            prev_size = len(prev_active)
+            seen: set[int] = set()
+            for rec in trace.rounds:
+                assert not (set(rec.added) & prev_active)  # new additions were not absorbed
+                assert not (set(rec.added) & seen)
+                seen |= set(rec.added)
+                running.extend(rec.added)
+                prev_active = hull(g, phi, running).active
+                assert len(prev_active) == rec.hull_size
+                assert rec.hull_size >= prev_size
+                prev_size = rec.hull_size
+            if not trace.fallback_used:
+                assert len(prev_active) == g.n
+                assert set(ms.seed) == set(running)
 
 
 def _spider(hubs=8, leaves=8, path_len=3):
@@ -305,6 +343,8 @@ def test_girth5_determinism():
     a = girth5_construct(g, rho, delta="1/2", rng_seed=9, max_restarts=2)
     b = girth5_construct(g, rho, delta="1/2", rng_seed=9, max_restarts=2)
     assert a == b
+    record = json.dumps(a.to_json_dict(), sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(record).hexdigest() == "2a84948a2021892f3304706a54cc19d78abf4712d85bb2d35c745a3907bd6016"
     c = girth5_construct(g, rho, delta="1/2", rng_seed=10, max_restarts=2)
     assert c.verified
 
