@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .cascade import is_monopoly, parse_rho, proportional_thresholds
-from .constructors import BUILDERS
+from .constructors import BUILDERS, check_delta
 from .errors import InputFormatError, PreconditionError
 from .exact import abw_bound
 from .generators import GeneratorSpec, generate
@@ -56,7 +56,7 @@ CONST_492 = 4.92
 @dataclass(frozen=True)
 class MethodSpec:
     name: str
-    delta: str = "1/2"
+    delta: Fraction | int | str | float | None = None
     epsilon: float | None = None
     max_rounds: int | None = None
     max_restarts: int = 0
@@ -106,9 +106,9 @@ def _parse_instance(entry) -> InstanceSpec:
     return InstanceSpec(
         gen=GeneratorSpec(
             family=str(entry["family"]),
-            n=int(entry["n"]) if "n" in entry else None,
-            p=float(entry["p"]) if "p" in entry else None,
-            rng_seed=int(entry.get("seed", 0)),
+            n=_config_number(entry, "n", None),
+            p=_config_number(entry, "p", None, float),
+            rng_seed=_config_number(entry, "seed", 0),
         )
     )
 
@@ -124,23 +124,39 @@ def _parse_method(entry) -> MethodSpec:
         raise InputFormatError(f"method entry must be a string or object, got {entry!r}")
     if name not in METHODS:
         raise InputFormatError(f"unknown method {name!r}; known: {', '.join(METHODS)}")
+    delta = extra.get("delta")
+    if delta is not None:
+        check_delta(delta)  # kept as written; girth5_construct reads it with the same check
     return MethodSpec(
         name=name,
-        delta=str(extra.get("delta", "1/2")),
-        epsilon=float(extra["epsilon"]) if extra.get("epsilon") is not None else None,
-        max_rounds=int(extra["max_rounds"]) if extra.get("max_rounds") is not None else None,
-        max_restarts=int(extra.get("max_restarts", 0)),
+        delta=delta,
+        epsilon=_config_epsilon(extra),
+        max_rounds=_config_number(extra, "max_rounds", None),
+        max_restarts=_config_number(extra, "max_restarts", 0),
         allow_low_girth=bool(extra.get("allow_low_girth", False)),
     )
 
 
-def _config_number(path: str | Path, raw: dict, key: str, default, kind=int):
+def _config_number(raw: dict, key: str, default, kind=int):
+    """Read a number field; a None default makes it optional, with null meaning unset."""
     value = raw.get(key, default)
+    if value is None and default is None:
+        return None
     try:
-        return kind(value)
-    except (TypeError, ValueError):
+        number = kind(value)
+        if isinstance(value, bool) or isinstance(value, float) and number != value:  # 2.5 as int, or NaN
+            raise ValueError
+        return number
+    except (TypeError, ValueError, OverflowError):
         what = "an integer" if kind is int else "a number"
-        raise InputFormatError(f"{path}: {key} must be {what}, got {value!r}") from None
+        raise InputFormatError(f"{key} must be {what}, got {value!r}") from None
+
+
+def _config_epsilon(raw: dict) -> float | None:
+    epsilon = _config_number(raw, "epsilon", None, float)
+    if epsilon is not None and not epsilon > 0:  # NaN too
+        raise InputFormatError(f"epsilon must be a positive number, got {epsilon}")
+    return epsilon
 
 
 def load_config(path: str | Path) -> BenchConfig:
@@ -151,24 +167,21 @@ def load_config(path: str | Path) -> BenchConfig:
         raise InputFormatError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise InputFormatError(f"{path}: config must be a JSON object")
-    try:
-        instances = tuple(_parse_instance(e) for e in raw.get("instances", []))
-        methods = tuple(_parse_method(e) for e in raw.get("methods", []))
-        rhos = tuple(parse_rho(str(r)) for r in raw.get("rhos", []))
+    try:  # a ValueError here is a bad field (InputFormatError and PreconditionError are ValueErrors)
+        config = BenchConfig(
+            instances=tuple(_parse_instance(e) for e in raw.get("instances", [])),
+            rhos=tuple(parse_rho(r) for r in raw.get("rhos", [])),
+            methods=tuple(_parse_method(e) for e in raw.get("methods", [])),
+            trials=_config_number(raw, "trials", 1),
+            rng_seed_base=_config_number(raw, "rng_seed_base", 0),
+            epsilon=_config_epsilon(raw),
+            output=str(raw["output"]) if raw.get("output") is not None else None,
+        )
     except (TypeError, ValueError) as exc:
         raise InputFormatError(f"{path}: {exc}") from None
-    trials = _config_number(path, raw, "trials", 1)
-    if trials < 1:
-        raise InputFormatError("trials must be at least 1")
-    return BenchConfig(
-        instances=instances,
-        rhos=rhos,
-        methods=methods,
-        trials=trials,
-        rng_seed_base=_config_number(path, raw, "rng_seed_base", 0),
-        epsilon=_config_number(path, raw, "epsilon", None, float) if raw.get("epsilon") is not None else None,
-        output=str(raw["output"]) if raw.get("output") is not None else None,
-    )
+    if config.trials < 1:
+        raise InputFormatError(f"{path}: trials must be at least 1")
+    return config
 
 
 def _load_instance(inst: InstanceSpec, base_dir: Path) -> Graph:
@@ -178,17 +191,6 @@ def _load_instance(inst: InstanceSpec, base_dir: Path) -> Graph:
     if not path.is_absolute():
         path = base_dir / path
     return parse_graph(path.read_text(encoding="utf-8"))
-
-
-def _run_cell(g: Graph, rho: Fraction, method: MethodSpec, rng_seed: int):
-    """Returns (seed tuple, rounds, fallback, delta string)."""
-    ms = BUILDERS[method.name](
-        g, rho, rng_seed, delta=method.delta, epsilon=method.epsilon, max_rounds=method.max_rounds,
-        max_restarts=method.max_restarts, allow_low_girth=method.allow_low_girth,
-    )
-    if ms.trace is None:
-        return ms.seed, "", "", ""
-    return ms.seed, str(len(ms.trace.rounds)), str(ms.trace.fallback_used).lower(), ms.params["delta"]
 
 
 def run_bench(config: BenchConfig, base_dir: str | Path = ".") -> BenchResult:
@@ -211,14 +213,17 @@ def run_bench(config: BenchConfig, base_dir: str | Path = ".") -> BenchResult:
                     )
                     t0 = time.perf_counter()
                     try:
-                        seed, rounds, fallback, delta = _run_cell(g, rho, method, rng_seed)
+                        ms = BUILDERS[method.name](
+                            g, rho, rng_seed, delta=method.delta, epsilon=cell_epsilon, max_rounds=method.max_rounds,
+                            max_restarts=method.max_restarts, allow_low_girth=method.allow_low_girth,
+                        )
                     except PreconditionError as exc:
                         result.skipped.append(
                             {"family": family, "rho": str(rho), "method": method.name, "reason": str(exc)}
                         )
                         break
                     runtime_ms = int((time.perf_counter() - t0) * 1000)
-                    if not is_monopoly(g, phi, seed):
+                    if not is_monopoly(g, phi, ms.seed):
                         raise AssertionError(
                             f"bench integrity failure: {method.name} seed on {family} is not a monopoly"
                         )
@@ -227,23 +232,23 @@ def run_bench(config: BenchConfig, base_dir: str | Path = ".") -> BenchResult:
                         "n": g.n,
                         "m": g.m,
                         "rho": str(rho),
-                        "delta": delta,
+                        "delta": ms.params["delta"] if ms.trace else "",  # the trace and delta are girth5's
                         "method": method.name,
                         "trial": trial,
-                        "seed_size": len(seed),
+                        "seed_size": ms.size,
                         "bound_abw": f"{bound_abw:.6f}",
                         "bound_583": f"{CONST_583 * rho_n:.6f}",
                         "bound_492": f"{CONST_492 * rho_n:.6f}",
                         "bound_2eps": f"{(2.0 + cell_epsilon) * rho_n:.6f}" if cell_epsilon is not None else "",
                         "bound_rho_n": f"{rho_n:.6f}",
                         "valid": "true",
-                        "rounds": rounds,
-                        "fallback": fallback,
+                        "rounds": str(len(ms.trace.rounds)) if ms.trace else "",
+                        "fallback": str(ms.trace.fallback_used).lower() if ms.trace else "",
                         "runtime_ms": runtime_ms,
                     }
                     result.rows.append(row)
                     if rho_n > 0:
-                        ratios.setdefault(method.name, []).append(len(seed) / rho_n)
+                        ratios.setdefault(method.name, []).append(ms.size / rho_n)
     for name, values in sorted(ratios.items()):
         result.summary[name] = {
             "cells": len(values),

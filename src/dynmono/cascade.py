@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import InputFormatError, PreconditionError
 from .graphs import Graph
@@ -30,41 +30,39 @@ from .graphs import Graph
 Thresholds = Sequence[int]
 
 
+def to_fraction(value: Fraction | int | str | float, name: str = "rho", upper: Fraction = Fraction(1)) -> Fraction:
+    """The one way a rational enters the package: ``value`` as an exact Fraction in (0, upper].
+
+    Takes a Fraction, an int, a "P/Q" or decimal string ("0.3" is exactly
+    3/10) or a float, read through its shortest repr (0.1 is 1/10).  Anything
+    else, booleans, NaN and infinities included, raises PreconditionError
+    naming ``name``.
+    """
+    try:
+        r = Fraction(value) if type(value) in (Fraction, int) else Fraction(str(value))  # bools take the str path
+    except (ValueError, ZeroDivisionError):
+        raise PreconditionError(f"cannot interpret {name} {value!r} as a rational") from None
+    if not 0 < r <= upper:
+        raise PreconditionError(f"{name} must lie in (0, {upper}], got {r}")
+    return r
+
+
+def from_input(convert: Callable[[object], Fraction], value: object) -> Fraction:
+    """Apply a converter to a value read from a file or a command line: a bad one is an InputFormatError."""
+    try:
+        return convert(value)
+    except PreconditionError as exc:
+        raise InputFormatError(str(exc)) from None
+
+
 def parse_rho(text: str) -> Fraction:
-    """Parse a rho argument: "P/Q" or a decimal string like "0.3" (exactly 3/10)."""
-    try:
-        value = Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise InputFormatError(f"cannot parse rho value {text!r}") from None
-    if not 0 < value <= 1:
-        raise InputFormatError(f"rho must lie in (0, 1], got {value}")
-    return value
-
-
-def coerce_fraction(value: Fraction | int | str | float) -> Fraction:
-    """Coerce to an exact Fraction; floats go through their shortest decimal repr."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(str(value))
-    try:
-        return Fraction(str(value).strip())
-    except (ValueError, ZeroDivisionError):
-        raise PreconditionError(f"cannot interpret {value!r} as a rational") from None
-
-
-def coerce_rho(value: Fraction | int | str | float) -> Fraction:
-    rho = coerce_fraction(value)
-    if not 0 < rho <= 1:
-        raise PreconditionError(f"rho must lie in (0, 1], got {rho}")
-    return rho
+    """Read a rho argument ("P/Q" or decimal) with ``to_fraction``; a bad one is an InputFormatError."""
+    return from_input(to_fraction, text)
 
 
 def proportional_thresholds(g: Graph, rho: Fraction | int | str | float) -> tuple[int, ...]:
     """phi(u) = ceil(rho * deg(u)), computed as (p*d + q - 1) // q in exact integers."""
-    r = coerce_rho(rho)
+    r = to_fraction(rho)
     p, q = r.numerator, r.denominator
     return tuple((p * d + q - 1) // q for d in g.degrees)
 
@@ -92,7 +90,7 @@ def effective_rho(g: Graph, rho: Fraction | int | str | float) -> Fraction:
     Proportional thresholds are constant in rho on (0, 1/max_degree], so any
     rho below that is equivalent to 1/max_degree.
     """
-    r = coerce_rho(rho)
+    r = to_fraction(rho)
     if g.max_degree < 1:
         raise PreconditionError("effective rho requires at least one edge")
     return max(r, Fraction(1, g.max_degree))
@@ -203,7 +201,7 @@ class DegreePartition:
 
 
 def degree_partition(g: Graph, rho: Fraction | int | str | float) -> DegreePartition:
-    r = coerce_rho(rho)
+    r = to_fraction(rho)
     p, q = r.numerator, r.denominator
     low: list[int] = []
     high: list[int] = []

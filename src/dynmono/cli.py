@@ -14,8 +14,8 @@ import time
 from pathlib import Path
 
 from . import bench as bench_mod
-from .cascade import hull, parse_rho, parse_seed_set, proportional_thresholds
-from .constructors import BUILDERS, girth5_params
+from .cascade import from_input, hull, parse_rho, parse_seed_set, proportional_thresholds
+from .constructors import BUILDERS, check_delta, girth5_params
 from .errors import InputFormatError, PreconditionError, SizeLimitError
 from .exact import DEFAULT_SIZE_LIMIT, min_monopoly_exact
 from .generators import FAMILIES, GeneratorSpec, generate
@@ -108,8 +108,9 @@ def cmd_solve(args) -> int:
 
 def cmd_construct(args) -> int:
     g = _load_graph(args.graph)
+    delta = None if args.delta is None else from_input(check_delta, args.delta)
     seed = BUILDERS[args.method](
-        g, parse_rho(args.rho), args.rng_seed, delta=args.delta, epsilon=args.epsilon,
+        g, parse_rho(args.rho), args.rng_seed, delta=delta, epsilon=args.epsilon,
         max_rounds=args.max_rounds, max_restarts=args.max_restarts, allow_low_girth=args.allow_low_girth,
     )
     print(json.dumps(seed.to_json_dict(), indent=2))
@@ -178,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-g", "--graph", required=True)
     p.add_argument("--rho", required=True)
     p.add_argument("--method", required=True, choices=list(BUILDERS))
-    p.add_argument("--delta", default=None, help="slack parameter for girth5 (default 1/2, or derived from --epsilon)")
-    p.add_argument("--epsilon", type=float, default=None, help="derive delta from a 2+epsilon size budget")
+    p.add_argument("--delta", default=None, help='girth5 slack in (0, 1/2], "P/Q" or decimal (default: see README)')
+    p.add_argument("--epsilon", type=float, default=None, help="girth5 size budget 2+epsilon")
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--max-rounds", type=int, default=None)
     p.add_argument("--max-restarts", type=int, default=0)

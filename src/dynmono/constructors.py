@@ -49,18 +49,22 @@ from .cascade import (
     Cascade,
     Thresholds,
     check_thresholds,
-    coerce_fraction,
-    coerce_rho,
     degree_partition,
     hull,
     proportional_thresholds,
+    to_fraction,
 )
 from .errors import PreconditionError
 from .graphs import Graph, girth_at_least_five, is_connected, is_tree
 from .seeding import stable_seed
 
 DELTA_CAP = min(math.exp(-0.25), 0.5)
-"""Upper limit for the slack parameter delta (equals 0.5)."""
+"""Upper limit for the slack parameter delta (equals 0.5), and its value when no epsilon is given."""
+
+
+def check_delta(delta: Fraction | int | str | float) -> Fraction:
+    """The slack parameter as an exact Fraction in (0, DELTA_CAP]; PreconditionError otherwise."""
+    return to_fraction(delta, "delta", Fraction(DELTA_CAP))
 
 
 def growth_constant(delta: float) -> float:
@@ -117,9 +121,6 @@ class Girth5Params:
         """Sampling probability rho/(1-delta) used in each random round."""
         return float(rho) / (1.0 - self.delta)
 
-    def default_rounds(self, n: int) -> int:
-        return default_round_count(n, self.delta)
-
 
 def girth5_params(epsilon: float) -> Girth5Params:
     """Resolve epsilon -> (delta, rho_max, p2) by bisecting the growth constant.
@@ -129,8 +130,8 @@ def girth5_params(epsilon: float) -> Girth5Params:
     to absolute tolerance 1e-9; if even DELTA_CAP satisfies the budget, the
     cap itself is used.
     """
-    if epsilon <= 0:
-        raise PreconditionError("epsilon must be positive")
+    if not epsilon > 0:  # NaN too
+        raise PreconditionError(f"epsilon must be positive, got {epsilon}")
     target = 2.0 + epsilon
     if growth_constant(DELTA_CAP) <= target:
         delta = DELTA_CAP
@@ -268,10 +269,8 @@ def greedy_kernel(
     pass over the high-degree vertices, extending one ``Cascade`` per pick,
     chooses the same kernel in O(n + m).
     """
-    r = coerce_rho(rho)
-    d = coerce_fraction(delta)
-    if not 0 < d <= Fraction(1, 2):
-        raise PreconditionError(f"delta must lie in (0, 1/2], got {d}")
+    r = to_fraction(rho)
+    d = check_delta(delta)
     part = degree_partition(g, r)
     if not part.high:
         raise PreconditionError("no vertex of degree >= 1/rho: greedy kernel undefined")
@@ -329,7 +328,7 @@ def _sampling_rounds(
 def girth5_construct(
     g: Graph,
     rho: Fraction | int | str | float,
-    delta: Fraction | int | str | float = Fraction(1, 2),
+    delta: Fraction | int | str | float | None = None,
     rng_seed: int = 0,
     max_rounds: int | None = None,
     max_restarts: int = 0,
@@ -344,7 +343,9 @@ def girth5_construct(
     size bound needs the girth), and rho <= 1-delta so the sampling
     probability is a probability.
 
-    ``max_rounds`` defaults to the smallest k with delta^k * n + 1/(1+delta) < 1.
+    ``delta`` defaults to girth5_params(epsilon).delta, else (no epsilon) to
+    DELTA_CAP = 1/2; the CLI and the bench rely on this rule.  ``max_rounds``
+    defaults to the smallest k with delta^k * n + 1/(1+delta) < 1.
     If the rounds are exhausted before the hull covers the graph, all
     remaining inactive vertices are added (``fallback_used``).  When
     ``max_restarts`` > 0 and the seed exceeds the first-moment size target
@@ -356,10 +357,10 @@ def girth5_construct(
     they are never hard gates because desk-scale instances sit far outside
     the proven rho range.
     """
-    r = coerce_rho(rho)
-    d = coerce_fraction(delta)
-    if not 0 < d <= Fraction(1, 2):
-        raise PreconditionError(f"delta must lie in (0, 1/2], got {d}")
+    r = to_fraction(rho)
+    if delta is None:
+        delta = girth5_params(epsilon).delta if epsilon is not None else DELTA_CAP
+    d = check_delta(delta)
     if g.n < 1 or not is_connected(g):
         raise PreconditionError("girth5 construction requires a connected, nonempty graph")
     if r > 1 - d:
@@ -443,7 +444,7 @@ def tree_construct(t: Graph, rho: Fraction | int | str | float) -> MonopolySeed:
     in a (mass, id) heap the whole run costs O(n log n), on the original
     vertex ids.
     """
-    r = coerce_rho(rho)
+    r = to_fraction(rho)
     if not is_tree(t):
         raise PreconditionError("tree construction requires a tree")
     p, q = r.numerator, r.denominator
@@ -528,7 +529,7 @@ def v2_baseline(g: Graph, rho: Fraction | int | str | float) -> MonopolySeed:
     On a connected graph every vertex outside the class has threshold 1, so
     any nonempty superset of the class floods the graph.
     """
-    r = coerce_rho(rho)
+    r = to_fraction(rho)
     if g.n < 1 or not is_connected(g):
         raise PreconditionError("high-degree baseline requires a connected, nonempty graph")
     part = degree_partition(g, r)
@@ -537,18 +538,12 @@ def v2_baseline(g: Graph, rho: Fraction | int | str | float) -> MonopolySeed:
     return MonopolySeed(method="v2", seed=tuple(seed), params={"rho": str(r)}, verified=True)
 
 
-def _girth5_builder(g: Graph, rho: Fraction, rng_seed: int, *, delta=None, epsilon=None, **options) -> MonopolySeed:
-    if delta is None:
-        delta = str(girth5_params(epsilon).delta) if epsilon is not None else "1/2"
-    return girth5_construct(g, rho, delta=delta, rng_seed=rng_seed, epsilon=epsilon, **options)
-
-
 # Method name -> builder(g, rho, rng_seed, **options), the one dispatch of the CLI and the bench.
-# Only girth5 reads the options (girth5_construct's keywords; a None delta comes from epsilon, else
-# 1/2).  Builders look constructors up at call time, so wrappers on those names see every call.
+# Only girth5 reads the options (girth5_construct's keywords).  Builders look constructors up at
+# call time, so wrappers on those names see every call.
 BUILDERS: dict[str, Callable[..., MonopolySeed]] = {
     "abw": lambda g, rho, rng_seed, **_: abw_construct(g, proportional_thresholds(g, rho), rng_seed=rng_seed),
-    "girth5": _girth5_builder,
+    "girth5": lambda g, rho, rng_seed, **options: girth5_construct(g, rho, rng_seed=rng_seed, **options),
     "tree": lambda g, rho, rng_seed, **_: tree_construct(g, rho),
     "v2": lambda g, rho, rng_seed, **_: v2_baseline(g, rho),
 }

@@ -7,7 +7,7 @@ import pytest
 
 from dynmono import InputFormatError, load_config, run_bench, serialize_graph, write_csv
 from dynmono.bench import CSV_COLUMNS, InstanceSpec, MethodSpec, BenchConfig
-from dynmono import GeneratorSpec, generate
+from dynmono import GeneratorSpec, generate, girth5_params
 
 
 def _write_config(tmp_path, payload):
@@ -49,20 +49,53 @@ def test_load_config_errors(tmp_path):
         load_config(_write_config(tmp_path, {"rhos": ["5/3"]}))
     with pytest.raises(InputFormatError):
         load_config(_write_config(tmp_path, {"trials": 0}))
+    # a bad girth5 delta or epsilon is a config error at load, not a skipped cell at run time
+    for field, payload in (
+        ("delta", {"methods": [{"method": "girth5", "delta": "abc"}]}),
+        ("delta", {"methods": [{"method": "girth5", "delta": "3/2"}]}),
+        ("delta", {"methods": [{"method": "girth5", "delta": 0}]}),
+        ("epsilon", {"methods": [{"method": "girth5", "epsilon": -1}]}),
+        ("epsilon", {"methods": [{"method": "girth5", "epsilon": float("nan")}]}),
+        ("epsilon", {"epsilon": -1}),
+        ("epsilon", {"epsilon": float("nan")}),
+        ("epsilon", {"epsilon": 0}),
+    ):
+        with pytest.raises(InputFormatError, match=field):
+            load_config(_write_config(tmp_path, payload))
 
 
 NUMBER_FIELDS = {"trials": "an integer", "rng_seed_base": "an integer", "epsilon": "a number"}
 
 
 @pytest.mark.parametrize("key", list(NUMBER_FIELDS))
-@pytest.mark.parametrize("value", ["abc", None, [3]])
+@pytest.mark.parametrize("value", ["abc", None, [3], 2.5, True])
 def test_load_config_rejects_non_integer(tmp_path, key, value):
     path = _write_config(tmp_path, {key: value})
     if key == "epsilon" and value is None:
         assert load_config(path).epsilon is None  # null leaves epsilon unset
         return
+    if key == "epsilon" and value == 2.5:
+        assert load_config(path).epsilon == 2.5  # any positive number is an epsilon
+        return
     with pytest.raises(InputFormatError, match=f"{key} must be {NUMBER_FIELDS[key]}"):
         load_config(path)
+
+
+NESTED_INTEGER_FIELDS = {
+    "n": lambda v: {"instances": [{"family": "star", "n": v}]},
+    "seed": lambda v: {"instances": [{"family": "random_tree", "n": 5, "seed": v}]},
+    "max_rounds": lambda v: {"methods": [{"method": "girth5", "max_rounds": v}]},
+    "max_restarts": lambda v: {"methods": [{"method": "girth5", "max_restarts": v}]},
+}
+
+
+@pytest.mark.parametrize("key", list(NESTED_INTEGER_FIELDS))
+@pytest.mark.parametrize("value", ["abc", [3], 2.5, True, float("inf")])
+def test_load_config_rejects_non_integer_entry_field(tmp_path, key, value):
+    path = _write_config(tmp_path, NESTED_INTEGER_FIELDS[key](value))
+    with pytest.raises(InputFormatError, match=f"{key} must be an integer"):
+        load_config(path)
+    assert load_config(_write_config(tmp_path, NESTED_INTEGER_FIELDS[key](4.0))) is not None  # 4.0 is 4
 
 
 def test_petersen_row_count():
@@ -98,6 +131,28 @@ def test_tightness_row():
     assert row["seed_size"] == 1
     assert row["bound_rho_n"] == "1.000000"
     assert row["valid"] == "true"
+
+
+def test_girth5_cell_delta_follows_epsilon():
+    # no delta: the cell's epsilon (the method's, else the config's) picks it, as in girth5_construct
+    derived = str(Fraction(repr(girth5_params(0.568).delta)))  # about 1/10
+    for method, epsilon, delta in (
+        (MethodSpec("girth5"), None, "1/2"),
+        (MethodSpec("girth5"), 0.568, derived),
+        (MethodSpec("girth5", epsilon=0.568), None, derived),
+        (MethodSpec("girth5", epsilon=0.568), 7.0, derived),
+        (MethodSpec("girth5", delta="1/5"), 0.568, "1/5"),
+    ):
+        config = BenchConfig(
+            instances=(InstanceSpec(gen=GeneratorSpec("petersen")),),
+            rhos=(Fraction(1, 3),),
+            methods=(method,),
+            epsilon=epsilon,
+        )
+        row = run_bench(config).rows[0]
+        assert row["delta"] == delta
+        cell_epsilon = method.epsilon if method.epsilon is not None else epsilon
+        assert row["bound_2eps"] == (f"{(2 + cell_epsilon) * 10 / 3:.6f}" if cell_epsilon else "")
 
 
 def test_skipped_cells_record_reason():

@@ -21,6 +21,7 @@ from dynmono import (
     parse_seed_set,
     petersen,
     proportional_thresholds,
+    to_fraction,
 )
 from dynmono.cascade import Cascade
 from instances import adj_lists, gnp
@@ -31,9 +32,27 @@ def test_parse_rho():
     assert parse_rho("1/3") == Fraction(1, 3)
     assert parse_rho("0.3") == Fraction(3, 10)
     assert parse_rho("1") == Fraction(1)
-    for bad in ("0", "5/3", "abc", "-1/2", "1/0"):
+    for bad in ("0", "5/3", "abc", "-1/2", "1/0", "nan", "inf", ""):
         with pytest.raises(InputFormatError):
             parse_rho(bad)
+
+
+def test_to_fraction_exact_and_named():
+    assert to_fraction(0.1) == Fraction(1, 10)  # the shortest repr, not the binary value
+    assert to_fraction(" 2/6 ") == Fraction(1, 3)
+    assert to_fraction(1) == 1 and to_fraction(Fraction(1, 2)) == Fraction(1, 2)
+    assert to_fraction("3/5", "delta", Fraction(3, 5)) == Fraction(3, 5)
+    with pytest.raises(PreconditionError, match=r"delta must lie in \(0, 1/2\], got 3/5"):
+        to_fraction("3/5", "delta", Fraction(1, 2))
+    # library callers get PreconditionError naming rho, never a raw ValueError; True is not rho = 1
+    pet = petersen()
+    for bad in (float("nan"), float("inf"), "nan", "-inf", True, None, [1], 0, "5/3"):
+        with pytest.raises(PreconditionError, match="rho"):
+            proportional_thresholds(pet, bad)
+        with pytest.raises(PreconditionError, match="rho"):
+            effective_rho(pet, bad)
+        with pytest.raises(PreconditionError, match="rho"):
+            degree_partition(pet, bad)
 
 
 def test_proportional_thresholds_exact_ceilings():

@@ -135,6 +135,11 @@ def test_construct_epsilon_derives_delta(capsys, petersen_file):
     assert record["params"]["delta"] == "1/2"
     assert record["params"]["theory"]["growth_within_budget"] is True
 
+    code, out, err = run_cli(
+        capsys, "construct", "-g", str(petersen_file), "--rho", "1/3", "--method", "girth5", "--epsilon", "nan"
+    )
+    assert code == 2 and out == "" and "epsilon" in err
+
 
 def test_construct_precondition_exit(capsys, tmp_path):
     path = tmp_path / "c4.txt"
@@ -153,9 +158,26 @@ def test_params_output(capsys):
     assert "delta    = 0.099996" in out
     assert "rho_max  = 2.73" in out
     assert "p2" in out
+    code, out, err = run_cli(capsys, "params", "--epsilon", "nan")
+    assert code == 2 and out == "" and "epsilon" in err
 
 
-def test_input_error_exits(capsys, tmp_path):
+def test_construct_and_bench_share_delta_rule(capsys, petersen_file, tmp_path):
+    code, out, _ = run_cli(
+        capsys, "construct", "-g", str(petersen_file), "--rho", "1/3", "--method", "girth5", "--epsilon", "0.568"
+    )
+    assert code == 0
+    delta = json.loads(out)["params"]["delta"]
+    assert delta != "1/2"
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps({"instances": ["petersen"], "rhos": ["1/3"], "methods": ["girth5"], "epsilon": 0.568}))
+    code, _, _ = run_cli(capsys, "bench", "--config", str(cfg_path), "-o", str(tmp_path / "o.csv"))
+    assert code == 0
+    with open(tmp_path / "o.csv", newline="") as handle:
+        assert {row["delta"] for row in csv.DictReader(handle)} == {delta}
+
+
+def test_input_error_exits(capsys, tmp_path, petersen_file):
     code, _, err = run_cli(capsys, "girth", "-g", str(tmp_path / "missing.txt"))
     assert code == 1
 
@@ -170,6 +192,12 @@ def test_input_error_exits(capsys, tmp_path):
     assert code == 1
     code, _, err = run_cli(capsys, "hull", "-g", str(bad))  # missing required flags
     assert code == 1
+
+    # a bad --delta is an input error naming delta, like a bad --rho
+    for extra in (["--rho", "1/3", "--delta", "abc"], ["--rho", "1/3", "--delta", "3/2"], ["--rho", "abc"]):
+        code, out, err = run_cli(capsys, "construct", "-g", str(petersen_file), "--method", "girth5", *extra)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and extra[-2][2:] in err
 
 
 def test_bench_end_to_end(capsys, tmp_path):

@@ -131,6 +131,8 @@ def test_params_cap_and_limits():
     assert small.rho_max < 1e-8
     with pytest.raises(PreconditionError):
         girth5_params(0.0)
+    with pytest.raises(PreconditionError):
+        girth5_params(float("nan"))  # NaN > 0 is false, but so was NaN <= 0
 
 
 def test_params_p1_within_unit_interval():
@@ -216,6 +218,9 @@ def test_kernel_precondition_errors():
         greedy_kernel(petersen(), "1/3", "0.6")  # delta above 1/2
     with pytest.raises(PreconditionError):
         greedy_kernel(petersen(), "1/3", 0)
+    for bad in ("abc", float("nan"), True, None):
+        with pytest.raises(PreconditionError, match="delta"):
+            greedy_kernel(petersen(), "1/3", bad)
 
 
 def test_kernel_exit_conditions_exact():
@@ -339,14 +344,19 @@ def test_girth5_multi_round_on_spider():
 
 def test_girth5_determinism():
     g = girth5_instance(70, 2.5, seed=55)
-    rho = Fraction(1, g.max_degree)
-    a = girth5_construct(g, rho, delta="1/2", rng_seed=9, max_restarts=2)
-    b = girth5_construct(g, rho, delta="1/2", rng_seed=9, max_restarts=2)
-    assert a == b
-    record = json.dumps(a.to_json_dict(), sort_keys=True).encode("utf-8")
-    assert hashlib.sha256(record).hexdigest() == "2a84948a2021892f3304706a54cc19d78abf4712d85bb2d35c745a3907bd6016"
-    c = girth5_construct(g, rho, delta="1/2", rng_seed=10, max_restarts=2)
-    assert c.verified
+    # rho = 1/max_degree ends with zero rounds; rho = 1/3 runs one sampling round to a 39-vertex seed
+    for rho, rounds, digest in (
+        (Fraction(1, g.max_degree), 0, "2a84948a2021892f3304706a54cc19d78abf4712d85bb2d35c745a3907bd6016"),
+        (Fraction(1, 3), 1, "0781ddfd52012debbf3864ec912650604ccd57f6bec315ec3d9a0c7aa15d5f49"),
+    ):
+        a = girth5_construct(g, rho, delta="1/2", rng_seed=9, max_restarts=2)
+        b = girth5_construct(g, rho, delta="1/2", rng_seed=9, max_restarts=2)
+        assert a == b
+        assert len(a.trace.rounds) == rounds
+        record = json.dumps(a.to_json_dict(), sort_keys=True).encode("utf-8")
+        assert hashlib.sha256(record).hexdigest() == digest
+        c = girth5_construct(g, rho, delta="1/2", rng_seed=10, max_restarts=2)
+        assert c.verified
 
 
 def test_girth5_restart_accounting():
@@ -386,6 +396,18 @@ def test_girth5_preconditions():
     p3 = generate(GeneratorSpec("path", 3))
     with pytest.raises(PreconditionError):
         girth5_construct(p3, "1/10", delta="1/2")  # max degree below 1/rho
+
+    for kwargs in ({"rho": float("nan")}, {"rho": "inf"}, {"delta": "3/2"}, {"epsilon": float("nan")}):
+        with pytest.raises(PreconditionError):
+            girth5_construct(petersen(), **{"rho": "1/3", **kwargs})
+
+
+def test_girth5_delta_rule():
+    # delta, else girth5_params(epsilon).delta, else 1/2; an epsilon next to a delta only sets the theory flag
+    assert girth5_construct(petersen(), "1/3").params["delta"] == "1/2"
+    derived = girth5_construct(petersen(), "1/3", epsilon=0.568).params["delta"]
+    assert Fraction(derived) == Fraction(repr(girth5_params(0.568).delta)) and abs(Fraction(derived) - Fraction(1, 10)) < 1e-3
+    assert girth5_construct(petersen(), "1/3", delta="1/5", epsilon=0.568).params["delta"] == "1/5"
 
 
 def test_girth5_theory_flags():

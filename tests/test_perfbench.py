@@ -1,0 +1,25 @@
+"""Guard for the benchmark's bindings into the package.
+
+``perfbench/run.py`` looks package names up by attribute (``cascade.parse_rho``
+and every traced layer function), so renaming one breaks the benchmark.  One
+toy-scale traced pass of every workload makes such a rename fail here too.
+It asserts no wall-clock bound.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_perfbench_toy_pass_is_correct():
+    argv = [sys.executable, "perfbench/run.py", "--workload", "all", "--scale", "toy",
+            "--seconds", "0.2", "--trace", "1", "--seed", "0"]
+    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300, check=False)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0 and result["attempted"] > 0, proc.stdout
