@@ -20,6 +20,7 @@ the tight cases (rho * deg integral) are never corrupted by float rounding.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -36,10 +37,15 @@ def to_fraction(value: Fraction | int | str | float, name: str = "rho", upper: F
     Takes a Fraction, an int, a "P/Q" or decimal string ("0.3" is exactly
     3/10) or a float, read through its shortest repr (0.1 is 1/10).  Anything
     else, booleans, NaN and infinities included, raises PreconditionError
-    naming ``name``.
+    naming ``name``, as does a decimal exponent above sys.get_int_max_str_digits()
+    (the limit a "P/Q" hits in int()), for which Fraction would build 10**exponent.
     """
+    exact = type(value) in (Fraction, int)  # bools take the str path
     try:
-        r = Fraction(value) if type(value) in (Fraction, int) else Fraction(str(value))  # bools take the str path
+        _, e, exponent = ("" if exact else str(value).lower()).rpartition("e")
+        if e and 0 < sys.get_int_max_str_digits() < abs(int(exponent)):
+            raise ValueError("decimal exponent too large")
+        r = Fraction(value) if exact else Fraction(str(value))
     except (ValueError, ZeroDivisionError):
         raise PreconditionError(f"cannot interpret {name} {value!r} as a rational") from None
     if not 0 < r <= upper:

@@ -19,7 +19,7 @@ from .constructors import BUILDERS, check_delta, girth5_params
 from .errors import InputFormatError, PreconditionError, SizeLimitError
 from .exact import DEFAULT_SIZE_LIMIT, min_monopoly_exact
 from .generators import FAMILIES, GeneratorSpec, generate
-from .graphs import ACYCLIC, Graph, girth, parse_graph, serialize_graph
+from .graphs import ACYCLIC, girth, parse_graph, serialize_graph
 
 
 class _Parser(argparse.ArgumentParser):
@@ -30,24 +30,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _load_graph(path: str) -> Graph:
+def _load(path: str, what: str, parse):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise InputFormatError(f"cannot read graph file {path}: {exc}") from None
+        raise InputFormatError(f"cannot read {what} file {path}: {exc}") from None
     try:
-        return parse_graph(text)
-    except InputFormatError as exc:
-        raise InputFormatError(f"{path}: {exc}") from None
-
-
-def _load_seed_set(path: str, n: int) -> tuple[int, ...]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputFormatError(f"cannot read seed file {path}: {exc}") from None
-    try:
-        return parse_seed_set(text, n)
+        return parse(text)
     except InputFormatError as exc:
         raise InputFormatError(f"{path}: {exc}") from None
 
@@ -61,15 +50,15 @@ def cmd_gen(args) -> int:
 
 
 def cmd_girth(args) -> int:
-    value = girth(_load_graph(args.graph))
+    value = girth(_load(args.graph, "graph", parse_graph))
     print("acyclic" if value == ACYCLIC else int(value))
     return 0
 
 
 def cmd_hull(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, "graph", parse_graph)
     phi = proportional_thresholds(g, parse_rho(args.rho))
-    result = hull(g, phi, _load_seed_set(args.seed_set, g.n))
+    result = hull(g, phi, _load(args.seed_set, "seed", lambda text: parse_seed_set(text, g.n)))
     if args.json:
         print(json.dumps(result.to_json_dict(), indent=2))
     else:
@@ -81,9 +70,9 @@ def cmd_hull(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, "graph", parse_graph)
     phi = proportional_thresholds(g, parse_rho(args.rho))
-    result = hull(g, phi, _load_seed_set(args.seed_set, g.n))
+    result = hull(g, phi, _load(args.seed_set, "seed", lambda text: parse_seed_set(text, g.n)))
     if result.is_monopoly:
         print("monopoly: true")
     else:
@@ -92,7 +81,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, "graph", parse_graph)
     phi = proportional_thresholds(g, parse_rho(args.rho))
     t0 = time.perf_counter()
     result = min_monopoly_exact(g, phi, limit=args.limit, force=args.force)
@@ -107,7 +96,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, "graph", parse_graph)
     delta = None if args.delta is None else from_input(check_delta, args.delta)
     seed = BUILDERS[args.method](
         g, parse_rho(args.rho), args.rng_seed, delta=delta, epsilon=args.epsilon,

@@ -376,6 +376,8 @@ def girth5_construct(
     rounds_cap = default_round_count(g.n, fd) if max_rounds is None else max_rounds
     if rounds_cap < 0:
         raise PreconditionError("max_rounds must be non-negative")
+    if max_restarts < 0:
+        raise PreconditionError("max_restarts must be non-negative")
     size_target = (1 + d) * ((1 + d) + 1 / (1 - d) ** 2) * r * g.n
     best: tuple[tuple[int, ...], tuple[RoundRecord, ...], bool] | None = None
     restarts = 0

@@ -114,8 +114,6 @@ def prufer_decode(seq: list[int], n: int) -> Graph:
 def random_tree(n: int, rng_seed: int = 0) -> Graph:
     """Uniformly random labeled tree via a random decode sequence."""
     rng = random.Random(rng_seed)
-    if n < 1:
-        raise PreconditionError("tree needs at least one vertex")
     seq = [rng.randrange(n) for _ in range(max(0, n - 2))]
     return prufer_decode(seq, n)
 
@@ -152,10 +150,14 @@ def _edge_on_short_cycle(nbr: list[set[int]], u: int, v: int) -> bool:
 def random_girth5(n: int, p: float, rng_seed: int = 0) -> Graph:
     """Seeded G(n, p) repaired to girth >= 5, restricted to its largest component.
 
-    Repair removes, repeatedly, the lexicographically smallest edge lying on
-    a 3- or 4-cycle.  Ties between equally large components go to the one
-    containing the smallest vertex id.  The result can have fewer than n
-    vertices; ids are relabeled to 0..n'-1 preserving order.
+    Repair visits the edges (u, v), u < v, once in lexicographic order and
+    drops each one that still lies on a 3- or 4-cycle.  This removes the
+    same edges as repeatedly removing the lexicographically smallest edge
+    on a short cycle: removing an edge never creates a cycle, so an edge
+    that passed the test keeps passing, and the smallest offending edge
+    only moves forward.  Ties between equally large components go to the
+    one containing the smallest vertex id.  The result can have fewer than
+    n vertices; ids are relabeled to 0..n'-1 preserving order.
     """
     if n < 1:
         raise PreconditionError("random_girth5 needs at least one vertex")
@@ -166,21 +168,11 @@ def random_girth5(n: int, p: float, rng_seed: int = 0) -> Graph:
     for u, v in _gnp_edges(n, p, rng):
         nbr[u].add(v)
         nbr[v].add(u)
-    while True:
-        removed = False
-        for u in range(n):
-            for v in sorted(nbr[u]):
-                if v < u:
-                    continue
-                if _edge_on_short_cycle(nbr, u, v):
-                    nbr[u].discard(v)
-                    nbr[v].discard(u)
-                    removed = True
-                    break
-            if removed:
-                break
-        if not removed:
-            break
+    for u in range(n):
+        for v in sorted(nbr[u]):
+            if v > u and _edge_on_short_cycle(nbr, u, v):
+                nbr[u].discard(v)
+                nbr[v].discard(u)
     g = from_edges(n, ((u, v) for u in range(n) for v in nbr[u] if u < v))
     blocks = connected_components(g)
     biggest = max(blocks, key=len)  # ties: earliest block, i.e. smallest min id

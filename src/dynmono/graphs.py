@@ -49,6 +49,10 @@ class Graph:
     def neighbor_sets(self) -> tuple[frozenset[int], ...]:
         return tuple(frozenset(nbrs) for nbrs in self.adj)
 
+    @cached_property
+    def girth_at_least_five(self) -> bool:
+        return _scan_girth_at_least_five(self)
+
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges (u, v) with u < v in ascending lexicographic order."""
         for u in range(self.n):
@@ -253,12 +257,14 @@ def girth(g: Graph) -> int | float:
 
 
 def girth_at_least_five(g: Graph) -> bool:
-    """Exact test for girth >= 5: no triangle and no 4-cycle.
+    """Exact test for girth >= 5: no triangle and no 4-cycle.  Scanned once per graph, then cached on ``g``."""
+    return g.girth_at_least_five
 
-    Equivalent to counting paths of length two: a repeated neighbor pair is
-    a 4-cycle, an adjacent pair with a common neighbor is a triangle.  Runs
-    in O(sum of squared degrees), much faster than a full girth computation
-    on the sparse instances this package targets.
+
+def _scan_girth_at_least_five(g: Graph) -> bool:
+    """Count paths of length two: a repeated neighbor pair is a 4-cycle, an
+    adjacent pair with a common neighbor is a triangle.  O(sum of squared
+    degrees), much faster than a full girth computation on sparse graphs.
     """
     pair_seen: set[tuple[int, int]] = set()
     nbr = g.neighbor_sets

@@ -11,7 +11,8 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from dynmono import Graph, induced_subgraph
+from dynmono import Graph, connected_components, from_edges, induced_subgraph
+from dynmono.generators import _gnp_edges
 
 
 def naive_hull(adj: list[list[int]], phi, seed) -> set[int]:
@@ -223,3 +224,32 @@ def tree_construct_reference(t: Graph, rho: Fraction) -> tuple[int, ...]:
         to_orig = [to_orig[old] for old in sorted(idmap)]
         cur = sub
     return tuple(sorted(seed))
+
+
+def random_girth5_reference(n: int, p: float, rng_seed: int = 0) -> Graph:
+    """random_girth5 by the restart loop: remove the lexicographically smallest
+    edge on a 3- or 4-cycle, then rescan from edge (0, *), until none is left.
+
+    Draws the same G(n, p) edges and keeps the largest component (ties: the
+    one with the smallest vertex id), relabelled in order.  An edge (u, v) is
+    on a short cycle when some a in N(u) - v and b in N(v) - u are equal (a
+    triangle) or adjacent (a 4-cycle).
+    """
+    nbr: list[set[int]] = [set() for _ in range(n)]
+    for u, v in _gnp_edges(n, p, random.Random(rng_seed)):
+        nbr[u].add(v)
+        nbr[v].add(u)
+
+    def on_short_cycle(u: int, v: int) -> bool:
+        return any(a == b or b in nbr[a] for a in nbr[u] - {v} for b in nbr[v] - {u})
+
+    while True:
+        bad = next(((u, v) for u in range(n) for v in sorted(nbr[u]) if u < v and on_short_cycle(u, v)), None)
+        if bad is None:
+            break
+        u, v = bad
+        nbr[u].discard(v)
+        nbr[v].discard(u)
+    g = from_edges(n, ((u, v) for u in range(n) for v in nbr[u] if u < v))
+    biggest = max(connected_components(g), key=len)
+    return induced_subgraph(g, biggest)[0]

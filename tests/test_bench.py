@@ -8,6 +8,7 @@ import pytest
 from dynmono import InputFormatError, load_config, run_bench, serialize_graph, write_csv
 from dynmono.bench import CSV_COLUMNS, InstanceSpec, MethodSpec, BenchConfig
 from dynmono import GeneratorSpec, generate, girth5_params
+from dynmono import graphs as graphs_mod
 
 
 def _write_config(tmp_path, payload):
@@ -153,6 +154,22 @@ def test_girth5_cell_delta_follows_epsilon():
         assert row["delta"] == delta
         cell_epsilon = method.epsilon if method.epsilon is not None else epsilon
         assert row["bound_2eps"] == (f"{(2 + cell_epsilon) * 10 / 3:.6f}" if cell_epsilon else "")
+
+
+def test_girth5_scan_runs_once_per_instance(monkeypatch):
+    # every girth5 cell asks girth_at_least_five; the answer is cached on the graph, so one scan per instance
+    scans = []
+    scan = graphs_mod._scan_girth_at_least_five
+    monkeypatch.setattr(graphs_mod, "_scan_girth_at_least_five", lambda g: scans.append(g.n) or scan(g))
+    config = BenchConfig(
+        instances=(InstanceSpec(gen=GeneratorSpec("random_girth5", 200, p=0.03, rng_seed=4)),),
+        rhos=(Fraction(1, 2), Fraction(1, 4)),
+        methods=(MethodSpec("girth5", max_restarts=2),),
+        trials=3,
+    )
+    result = run_bench(config)
+    assert len(result.rows) == 6 and not result.skipped
+    assert len(scans) == 1
 
 
 def test_skipped_cells_record_reason():

@@ -32,7 +32,9 @@ def test_parse_rho():
     assert parse_rho("1/3") == Fraction(1, 3)
     assert parse_rho("0.3") == Fraction(3, 10)
     assert parse_rho("1") == Fraction(1)
-    for bad in ("0", "5/3", "abc", "-1/2", "1/0", "nan", "inf", ""):
+    assert parse_rho("1e-3") == Fraction(1, 1000)
+    # an exponent beyond the int-string digit limit is refused before Fraction builds 10**5000
+    for bad in ("0", "5/3", "abc", "-1/2", "1/0", "nan", "inf", "", "1e-5000"):
         with pytest.raises(InputFormatError):
             parse_rho(bad)
 

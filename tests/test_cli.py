@@ -150,6 +150,12 @@ def test_construct_precondition_exit(capsys, tmp_path):
         capsys, "construct", "-g", str(path), "--rho", "1/2", "--method", "girth5", "--allow-low-girth"
     )
     assert code == 0
+    pet = tmp_path / "pet.txt"
+    main(["gen", "--family", "petersen", "-o", str(pet)])
+    code, out, err = run_cli(
+        capsys, "construct", "-g", str(pet), "--rho", "1/3", "--method", "girth5", "--max-restarts", "-1"
+    )
+    assert code == 2 and out == "" and "max_restarts must be non-negative" in err
 
 
 def test_params_output(capsys):
@@ -194,7 +200,9 @@ def test_input_error_exits(capsys, tmp_path, petersen_file):
     assert code == 1
 
     # a bad --delta is an input error naming delta, like a bad --rho
-    for extra in (["--rho", "1/3", "--delta", "abc"], ["--rho", "1/3", "--delta", "3/2"], ["--rho", "abc"]):
+    for extra in (
+        ["--rho", "1/3", "--delta", "abc"], ["--rho", "1/3", "--delta", "3/2"], ["--rho", "abc"], ["--rho", "1e-5000"]
+    ):
         code, out, err = run_cli(capsys, "construct", "-g", str(petersen_file), "--method", "girth5", *extra)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and extra[-2][2:] in err

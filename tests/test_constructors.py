@@ -397,7 +397,9 @@ def test_girth5_preconditions():
     with pytest.raises(PreconditionError):
         girth5_construct(p3, "1/10", delta="1/2")  # max degree below 1/rho
 
-    for kwargs in ({"rho": float("nan")}, {"rho": "inf"}, {"delta": "3/2"}, {"epsilon": float("nan")}):
+    for kwargs in (
+        {"rho": float("nan")}, {"rho": "inf"}, {"delta": "3/2"}, {"epsilon": float("nan")}, {"max_restarts": -1}
+    ):
         with pytest.raises(PreconditionError):
             girth5_construct(petersen(), **{"rho": "1/3", **kwargs})
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -15,7 +16,9 @@ from dynmono import (
     prufer_decode,
     random_girth5,
     random_tree,
+    serialize_graph,
 )
+from oracles import random_girth5_reference
 
 
 def test_fixed_families():
@@ -97,6 +100,25 @@ def test_random_girth5_repair_removes_short_cycles():
     g = random_girth5(30, 0.3, rng_seed=1)
     assert girth(g) >= 5
     assert g.n >= 1
+
+
+def test_random_girth5_matches_restart_loop():
+    # 72 instances from near-empty to dense (20, 0.5); the restart loop is quadratic, so n stays <= 400
+    grid = ((16, 0.3), (20, 0.5), (30, 0.3), (50, 0.15), (80, 0.06), (150, 0.03), (250, 0.015), (400, 0.008),
+            (400, 0.012))
+    for n, p in grid:
+        for seed in range(8):
+            assert random_girth5(n, p, rng_seed=seed) == random_girth5_reference(n, p, rng_seed=seed), (n, p, seed)
+
+
+def test_random_girth5_sweep_instances_pinned():
+    # the two random girth5-sweep instances of the benchmark at workload seed 0; digests of the restart loop's output
+    for n, p, seed, digest in (
+        (1000, 0.006, 1587103499, "4dec0a1b5afd7272a2b798ea9aa842458816264bacb87303f5c26ba0b7921f27"),
+        (2000, 0.003, 703810986, "a094db4a86fb7e965fe7dd9904cee1e77afbd3621611effc359478fea8b947a2"),
+    ):
+        text = serialize_graph(random_girth5(n, p, rng_seed=seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_spec_labels():
