@@ -9,11 +9,9 @@ permutation-expectation bound), ``constructors`` (seed-set builders),
 from .bench import BenchConfig, BenchResult, load_config, run_bench, write_csv
 from .cascade import (
     CascadeResult,
-    DegreePartition,
     Thresholds,
     check_thresholds,
     degree_partition,
-    effective_rho,
     hull,
     is_monopoly,
     parse_rho,
@@ -23,10 +21,8 @@ from .cascade import (
 )
 from .constructors import (
     DELTA_CAP,
-    Girth5Params,
     Girth5Trace,
     MonopolySeed,
-    RoundRecord,
     abw_construct,
     abw_seed_from_permutation,
     activation_probability,
@@ -55,7 +51,6 @@ from .graphs import (
     parse_graph,
     serialize_graph,
 )
-from .seeding import stable_seed
 
 __version__ = "0.1.0"
 
@@ -66,17 +61,14 @@ __all__ = [
     "CascadeResult",
     "DEFAULT_SIZE_LIMIT",
     "DELTA_CAP",
-    "DegreePartition",
     "DynmonoError",
     "ExactResult",
     "GeneratorSpec",
-    "Girth5Params",
     "Girth5Trace",
     "Graph",
     "InputFormatError",
     "MonopolySeed",
     "PreconditionError",
-    "RoundRecord",
     "SizeLimitError",
     "Thresholds",
     "abw_bound",
@@ -87,7 +79,6 @@ __all__ = [
     "connected_components",
     "default_round_count",
     "degree_partition",
-    "effective_rho",
     "from_edges",
     "generate",
     "girth",
@@ -114,7 +105,6 @@ __all__ = [
     "rho_upper_bound",
     "run_bench",
     "serialize_graph",
-    "stable_seed",
     "to_fraction",
     "tree_construct",
     "v2_baseline",

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .cascade import is_monopoly, parse_rho, proportional_thresholds
-from .constructors import BUILDERS, check_delta
+from .cascade import is_monopoly, parse_rho, proportional_thresholds, to_number
+from .constructors import BUILDERS, GIRTH5_OPTIONS, girth5_options
 from .errors import InputFormatError, PreconditionError
 from .exact import abw_bound
 from .generators import GeneratorSpec, generate
@@ -55,12 +55,14 @@ CONST_492 = 4.92
 
 @dataclass(frozen=True)
 class MethodSpec:
+    """A method and its girth5 options (constructors.GIRTH5_OPTIONS); None means the default."""
+
     name: str
     delta: Fraction | int | str | float | None = None
     epsilon: float | None = None
     max_rounds: int | None = None
-    max_restarts: int = 0
-    allow_low_girth: bool = False
+    max_restarts: int | None = None
+    allow_low_girth: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -106,9 +108,9 @@ def _parse_instance(entry) -> InstanceSpec:
     return InstanceSpec(
         gen=GeneratorSpec(
             family=str(entry["family"]),
-            n=_config_number(entry, "n", None),
-            p=_config_number(entry, "p", None, float),
-            rng_seed=_config_number(entry, "seed", 0),
+            n=None if entry.get("n") is None else to_number(entry["n"], "n"),  # null means unset
+            p=None if entry.get("p") is None else to_number(entry["p"], "p", float),
+            rng_seed=to_number(entry.get("seed", 0), "seed"),
         )
     )
 
@@ -124,39 +126,8 @@ def _parse_method(entry) -> MethodSpec:
         raise InputFormatError(f"method entry must be a string or object, got {entry!r}")
     if name not in METHODS:
         raise InputFormatError(f"unknown method {name!r}; known: {', '.join(METHODS)}")
-    delta = extra.get("delta")
-    if delta is not None:
-        check_delta(delta)  # kept as written; girth5_construct reads it with the same check
-    return MethodSpec(
-        name=name,
-        delta=delta,
-        epsilon=_config_epsilon(extra),
-        max_rounds=_config_number(extra, "max_rounds", None),
-        max_restarts=_config_number(extra, "max_restarts", 0),
-        allow_low_girth=bool(extra.get("allow_low_girth", False)),
-    )
-
-
-def _config_number(raw: dict, key: str, default, kind=int):
-    """Read a number field; a None default makes it optional, with null meaning unset."""
-    value = raw.get(key, default)
-    if value is None and default is None:
-        return None
-    try:
-        number = kind(value)
-        if isinstance(value, bool) or isinstance(value, float) and number != value:  # 2.5 as int, or NaN
-            raise ValueError
-        return number
-    except (TypeError, ValueError, OverflowError):
-        what = "an integer" if kind is int else "a number"
-        raise InputFormatError(f"{key} must be {what}, got {value!r}") from None
-
-
-def _config_epsilon(raw: dict) -> float | None:
-    epsilon = _config_number(raw, "epsilon", None, float)
-    if epsilon is not None and not epsilon > 0:  # NaN too
-        raise InputFormatError(f"epsilon must be a positive number, got {epsilon}")
-    return epsilon
+    options = girth5_options(extra)  # for every method: a bad value is a config error at load, not a skipped cell
+    return MethodSpec(name=name, **{**options, "delta": extra.get("delta")})  # delta kept as written
 
 
 def load_config(path: str | Path) -> BenchConfig:
@@ -172,9 +143,9 @@ def load_config(path: str | Path) -> BenchConfig:
             instances=tuple(_parse_instance(e) for e in raw.get("instances", [])),
             rhos=tuple(parse_rho(r) for r in raw.get("rhos", [])),
             methods=tuple(_parse_method(e) for e in raw.get("methods", [])),
-            trials=_config_number(raw, "trials", 1),
-            rng_seed_base=_config_number(raw, "rng_seed_base", 0),
-            epsilon=_config_epsilon(raw),
+            trials=to_number(raw.get("trials", 1), "trials"),
+            rng_seed_base=to_number(raw.get("rng_seed_base", 0), "rng_seed_base"),
+            epsilon=girth5_options({"epsilon": raw.get("epsilon")})["epsilon"],
             output=str(raw["output"]) if raw.get("output") is not None else None,
         )
     except (TypeError, ValueError) as exc:
@@ -207,16 +178,14 @@ def run_bench(config: BenchConfig, base_dir: str | Path = ".") -> BenchResult:
             for method in config.methods:
                 trials = 1 if method.name in DETERMINISTIC_METHODS else config.trials
                 cell_epsilon = method.epsilon if method.epsilon is not None else config.epsilon
+                options = {**{name: getattr(method, name) for name in GIRTH5_OPTIONS}, "epsilon": cell_epsilon}
                 for trial in range(trials):
                     rng_seed = stable_seed(
                         config.rng_seed_base, family, g.n, str(rho), method.name, trial
                     )
                     t0 = time.perf_counter()
                     try:
-                        ms = BUILDERS[method.name](
-                            g, rho, rng_seed, delta=method.delta, epsilon=cell_epsilon, max_rounds=method.max_rounds,
-                            max_restarts=method.max_restarts, allow_low_girth=method.allow_low_girth,
-                        )
+                        ms = BUILDERS[method.name](g, rho, rng_seed, **options)
                     except PreconditionError as exc:
                         result.skipped.append(
                             {"family": family, "rho": str(rho), "method": method.name, "reason": str(exc)}

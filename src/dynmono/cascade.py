@@ -23,12 +23,13 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import InputFormatError, PreconditionError
 from .graphs import Graph
 
 Thresholds = Sequence[int]
+T = TypeVar("T")
 
 
 def to_fraction(value: Fraction | int | str | float, name: str = "rho", upper: Fraction = Fraction(1)) -> Fraction:
@@ -53,7 +54,20 @@ def to_fraction(value: Fraction | int | str | float, name: str = "rho", upper: F
     return r
 
 
-def from_input(convert: Callable[[object], Fraction], value: object) -> Fraction:
+def to_number(value: object, name: str, kind: type = int) -> int | float:
+    """The one number rule: ``value`` as an int, or a float with ``kind=float``; PreconditionError naming ``name``
+    otherwise.  A float is an integer only when exact (4.0 is 4, 2.5 is refused); booleans and NaN are refused."""
+    try:
+        number = kind(value)
+        if isinstance(value, bool) or number != number or isinstance(value, float) and number != value:
+            raise ValueError
+        return number
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise PreconditionError(f"{name} must be {what}, got {value}") from None
+
+
+def from_input(convert: Callable[[object], T], value: object) -> T:
     """Apply a converter to a value read from a file or a command line: a bad one is an InputFormatError."""
     try:
         return convert(value)
@@ -88,18 +102,6 @@ def check_thresholds(g: Graph, phi: Thresholds) -> None:
             raise PreconditionError(f"threshold of vertex {u} is negative")
         if t > d:
             raise PreconditionError(f"threshold of vertex {u} exceeds its degree ({t} > {d})")
-
-
-def effective_rho(g: Graph, rho: Fraction | int | str | float) -> Fraction:
-    """The smallest rho' >= rho with identical thresholds: max(rho, 1/max_degree).
-
-    Proportional thresholds are constant in rho on (0, 1/max_degree], so any
-    rho below that is equivalent to 1/max_degree.
-    """
-    r = to_fraction(rho)
-    if g.max_degree < 1:
-        raise PreconditionError("effective rho requires at least one edge")
-    return max(r, Fraction(1, g.max_degree))
 
 
 @dataclass(frozen=True)

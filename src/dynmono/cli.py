@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .cascade import from_input, hull, parse_rho, parse_seed_set, proportional_thresholds
-from .constructors import BUILDERS, check_delta, girth5_params
+from .constructors import BUILDERS, GIRTH5_OPTIONS, check_epsilon, girth5_options, girth5_params
 from .errors import InputFormatError, PreconditionError, SizeLimitError
 from .exact import DEFAULT_SIZE_LIMIT, min_monopoly_exact
 from .generators import FAMILIES, GeneratorSpec, generate
@@ -97,17 +97,14 @@ def cmd_solve(args) -> int:
 
 def cmd_construct(args) -> int:
     g = _load(args.graph, "graph", parse_graph)
-    delta = None if args.delta is None else from_input(check_delta, args.delta)
-    seed = BUILDERS[args.method](
-        g, parse_rho(args.rho), args.rng_seed, delta=delta, epsilon=args.epsilon,
-        max_rounds=args.max_rounds, max_restarts=args.max_restarts, allow_low_girth=args.allow_low_girth,
-    )
+    options = from_input(girth5_options, {name: getattr(args, name) for name in GIRTH5_OPTIONS})
+    seed = BUILDERS[args.method](g, parse_rho(args.rho), args.rng_seed, **options)
     print(json.dumps(seed.to_json_dict(), indent=2))
     return 0
 
 
 def cmd_params(args) -> int:
-    params = girth5_params(args.epsilon)
+    params = girth5_params(from_input(check_epsilon, args.epsilon))
     print(f"epsilon  = {params.epsilon}")
     print(f"delta    = {params.delta:.9f}")
     print(f"rho_max  = {params.rho_max:.6e}")
@@ -169,15 +166,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", required=True)
     p.add_argument("--method", required=True, choices=list(BUILDERS))
     p.add_argument("--delta", default=None, help='girth5 slack in (0, 1/2], "P/Q" or decimal (default: see README)')
-    p.add_argument("--epsilon", type=float, default=None, help="girth5 size budget 2+epsilon")
+    p.add_argument("--epsilon", default=None, help="girth5 size budget 2+epsilon")
     p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--max-rounds", type=int, default=None)
-    p.add_argument("--max-restarts", type=int, default=0)
+    p.add_argument("--max-rounds", default=None)
+    p.add_argument("--max-restarts", default=None)
     p.add_argument("--allow-low-girth", action="store_true")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("params", help="derive girth5 parameters from epsilon")
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--epsilon", required=True)
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("bench", help="run a benchmark sweep from a JSON config")

@@ -53,6 +53,7 @@ from .cascade import (
     hull,
     proportional_thresholds,
     to_fraction,
+    to_number,
 )
 from .errors import PreconditionError
 from .graphs import Graph, girth_at_least_five, is_connected, is_tree
@@ -65,6 +66,45 @@ DELTA_CAP = min(math.exp(-0.25), 0.5)
 def check_delta(delta: Fraction | int | str | float) -> Fraction:
     """The slack parameter as an exact Fraction in (0, DELTA_CAP]; PreconditionError otherwise."""
     return to_fraction(delta, "delta", Fraction(DELTA_CAP))
+
+
+def check_epsilon(epsilon: float | int | str) -> float:
+    """The size budget epsilon as a finite float above 0; PreconditionError otherwise."""
+    e = to_number(epsilon, "epsilon", float)
+    if not 0 < e < math.inf:
+        raise PreconditionError(f"epsilon must be a finite number above 0, got {e}")
+    return e
+
+
+def _count(value: object, name: str) -> int:
+    if (count := to_number(value, name)) < 0:
+        raise PreconditionError(f"{name} must be non-negative, got {count}")
+    return count
+
+
+def _flag(value: object, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise PreconditionError(f"{name} must be a boolean, got {value}")
+    return value
+
+
+# The girth5 options, name -> (default, check), read through girth5_options by girth5_construct, the CLI
+# and the bench.  A None delta is derived from epsilon, a None max_rounds is default_round_count(n, delta).
+GIRTH5_OPTIONS: dict[str, tuple[object, Callable[[object], object]]] = {
+    "delta": (None, check_delta),
+    "epsilon": (None, check_epsilon),
+    "max_rounds": (None, lambda value: _count(value, "max_rounds")),
+    "max_restarts": (0, lambda value: _count(value, "max_restarts")),
+    "allow_low_girth": (False, lambda value: _flag(value, "allow_low_girth")),
+}
+
+
+def girth5_options(values: dict) -> dict:
+    """Each girth5 option in ``values`` checked, or its default when absent or None; other keys are ignored."""
+    return {
+        name: default if values.get(name) is None else check(values[name])
+        for name, (default, check) in GIRTH5_OPTIONS.items()
+    }
 
 
 def growth_constant(delta: float) -> float:
@@ -128,10 +168,9 @@ def girth5_params(epsilon: float) -> Girth5Params:
     The growth constant is strictly increasing in delta, so the unique root
     of growth(delta) = 2+epsilon is bracketed on (0, DELTA_CAP] and bisected
     to absolute tolerance 1e-9; if even DELTA_CAP satisfies the budget, the
-    cap itself is used.
+    cap itself is used.  epsilon is read with the GIRTH5_OPTIONS check.
     """
-    if not epsilon > 0:  # NaN too
-        raise PreconditionError(f"epsilon must be positive, got {epsilon}")
+    epsilon = check_epsilon(epsilon)
     target = 2.0 + epsilon
     if growth_constant(DELTA_CAP) <= target:
         delta = DELTA_CAP
@@ -331,9 +370,9 @@ def girth5_construct(
     delta: Fraction | int | str | float | None = None,
     rng_seed: int = 0,
     max_rounds: int | None = None,
-    max_restarts: int = 0,
+    max_restarts: int | None = None,
     *,
-    allow_low_girth: bool = False,
+    allow_low_girth: bool | None = None,
     epsilon: float | None = None,
 ) -> MonopolySeed:
     """Greedy kernel plus independent sampling rounds; always returns a verified monopoly.
@@ -343,9 +382,13 @@ def girth5_construct(
     size bound needs the girth), and rho <= 1-delta so the sampling
     probability is a probability.
 
-    ``delta`` defaults to girth5_params(epsilon).delta, else (no epsilon) to
-    DELTA_CAP = 1/2; the CLI and the bench rely on this rule.  ``max_rounds``
-    defaults to the smallest k with delta^k * n + 1/(1+delta) < 1.
+    The options (``delta``, ``epsilon``, ``max_rounds``, ``max_restarts``,
+    ``allow_low_girth``) are read through GIRTH5_OPTIONS, as the CLI and the
+    bench read theirs: None means the default, and a bad value raises
+    PreconditionError naming it, whether or not the option is used (an
+    epsilon next to a delta is checked too).  ``delta`` defaults to
+    girth5_params(epsilon).delta, else (no epsilon) to DELTA_CAP = 1/2.
+    ``max_rounds`` defaults to the smallest k with delta^k * n + 1/(1+delta) < 1.
     If the rounds are exhausted before the hull covers the graph, all
     remaining inactive vertices are added (``fallback_used``).  When
     ``max_restarts`` > 0 and the seed exceeds the first-moment size target
@@ -358,14 +401,15 @@ def girth5_construct(
     the proven rho range.
     """
     r = to_fraction(rho)
-    if delta is None:
-        delta = girth5_params(epsilon).delta if epsilon is not None else DELTA_CAP
-    d = check_delta(delta)
+    options = girth5_options(dict(delta=delta, epsilon=epsilon, max_rounds=max_rounds, max_restarts=max_restarts,
+                                  allow_low_girth=allow_low_girth))
+    epsilon, max_restarts = options["epsilon"], options["max_restarts"]
+    d = options["delta"] or check_delta(girth5_params(epsilon).delta if epsilon is not None else DELTA_CAP)
     if g.n < 1 or not is_connected(g):
         raise PreconditionError("girth5 construction requires a connected, nonempty graph")
     if r > 1 - d:
         raise PreconditionError(f"sampling probability rho/(1-delta) exceeds 1 for rho={r}, delta={d}")
-    if not allow_low_girth and not girth_at_least_five(g):
+    if not options["allow_low_girth"] and not girth_at_least_five(g):
         raise PreconditionError("graph has a cycle of length 3 or 4; pass allow_low_girth to proceed")
     kernel = greedy_kernel(g, r, d)  # also checks max degree >= 1/rho
     phi = proportional_thresholds(g, r)
@@ -373,11 +417,7 @@ def girth5_construct(
     pool = [u for u in range(g.n) if u not in base.active]
     fd = float(d)
     p1 = float(r) / (1.0 - fd)
-    rounds_cap = default_round_count(g.n, fd) if max_rounds is None else max_rounds
-    if rounds_cap < 0:
-        raise PreconditionError("max_rounds must be non-negative")
-    if max_restarts < 0:
-        raise PreconditionError("max_restarts must be non-negative")
+    rounds_cap = default_round_count(g.n, fd) if options["max_rounds"] is None else options["max_rounds"]
     size_target = (1 + d) * ((1 + d) + 1 / (1 - d) ** 2) * r * g.n
     best: tuple[tuple[int, ...], tuple[RoundRecord, ...], bool] | None = None
     restarts = 0

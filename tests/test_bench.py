@@ -50,7 +50,7 @@ def test_load_config_errors(tmp_path):
         load_config(_write_config(tmp_path, {"rhos": ["5/3"]}))
     with pytest.raises(InputFormatError):
         load_config(_write_config(tmp_path, {"trials": 0}))
-    # a bad girth5 delta or epsilon is a config error at load, not a skipped cell at run time
+    # a bad girth5 option is a config error at load, not a skipped cell at run time
     for field, payload in (
         ("delta", {"methods": [{"method": "girth5", "delta": "abc"}]}),
         ("delta", {"methods": [{"method": "girth5", "delta": "3/2"}]}),
@@ -60,6 +60,14 @@ def test_load_config_errors(tmp_path):
         ("epsilon", {"epsilon": -1}),
         ("epsilon", {"epsilon": float("nan")}),
         ("epsilon", {"epsilon": 0}),
+        ("epsilon", {"epsilon": float("inf")}),
+        ("epsilon", {"methods": [{"method": "girth5", "epsilon": float("inf")}]}),
+        ("max_rounds", {"methods": [{"method": "girth5", "max_rounds": -1}]}),
+        ("max_restarts", {"methods": [{"method": "girth5", "max_restarts": -1}]}),
+        ("max_restarts", {"methods": [{"method": "abw", "max_restarts": -1}]}),
+        ("allow_low_girth", {"methods": [{"method": "girth5", "allow_low_girth": "false"}]}),
+        ("allow_low_girth", {"methods": [{"method": "girth5", "allow_low_girth": "yes"}]}),
+        ("allow_low_girth", {"methods": [{"method": "girth5", "allow_low_girth": 1}]}),
     ):
         with pytest.raises(InputFormatError, match=field):
             load_config(_write_config(tmp_path, payload))
@@ -183,6 +191,14 @@ def test_skipped_cells_record_reason():
     assert not result.rows
     assert len(result.skipped) == 1
     assert "degree" in result.skipped[0]["reason"]
+
+
+def test_allow_low_girth_false_skips_c4(tmp_path):
+    methods = [{"method": "girth5", "allow_low_girth": flag} for flag in (False, None, True)]
+    payload = {"instances": [{"family": "cycle", "n": 4}], "rhos": ["1/2"], "methods": methods}
+    result = run_bench(load_config(_write_config(tmp_path, payload)))
+    assert len(result.skipped) == 2 and all("cycle of length 3 or 4" in s["reason"] for s in result.skipped)
+    assert len(result.rows) == 1 and result.rows[0]["valid"] == "true"  # only true runs on C4
 
 
 def test_empty_config_produces_header_only_csv(tmp_path):

@@ -12,7 +12,6 @@ from dynmono import (
     check_thresholds,
     connected_components,
     degree_partition,
-    effective_rho,
     from_edges,
     generate,
     hull,
@@ -52,8 +51,6 @@ def test_to_fraction_exact_and_named():
         with pytest.raises(PreconditionError, match="rho"):
             proportional_thresholds(pet, bad)
         with pytest.raises(PreconditionError, match="rho"):
-            effective_rho(pet, bad)
-        with pytest.raises(PreconditionError, match="rho"):
             degree_partition(pet, bad)
 
 
@@ -91,16 +88,6 @@ def test_check_thresholds():
         check_thresholds(g, (-1, 0, 0))
 
 
-def test_effective_rho():
-    pet = petersen()
-    assert effective_rho(pet, "1/10") == Fraction(1, 3)
-    assert effective_rho(pet, "1/2") == Fraction(1, 2)
-    k2 = generate(GeneratorSpec("complete", 2))
-    assert effective_rho(k2, "1/7") == Fraction(1)
-    with pytest.raises(PreconditionError):
-        effective_rho(from_edges(3, []), "1/2")
-
-
 def test_effective_rho_same_thresholds():
     rng = random.Random(11)
     for _ in range(30):
@@ -109,7 +96,7 @@ def test_effective_rho_same_thresholds():
         if g.max_degree == 0:
             continue
         rho = Fraction(1, rng.randint(g.max_degree, 3 * g.max_degree))
-        eff = effective_rho(g, rho)
+        eff = max(rho, Fraction(1, g.max_degree))  # thresholds are constant in rho on (0, 1/max_degree]
         assert proportional_thresholds(g, rho) == proportional_thresholds(g, eff)
 
 

@@ -138,7 +138,7 @@ def test_construct_epsilon_derives_delta(capsys, petersen_file):
     code, out, err = run_cli(
         capsys, "construct", "-g", str(petersen_file), "--rho", "1/3", "--method", "girth5", "--epsilon", "nan"
     )
-    assert code == 2 and out == "" and "epsilon" in err
+    assert code == 1 and out == "" and "epsilon" in err
 
 
 def test_construct_precondition_exit(capsys, tmp_path):
@@ -155,7 +155,7 @@ def test_construct_precondition_exit(capsys, tmp_path):
     code, out, err = run_cli(
         capsys, "construct", "-g", str(pet), "--rho", "1/3", "--method", "girth5", "--max-restarts", "-1"
     )
-    assert code == 2 and out == "" and "max_restarts must be non-negative" in err
+    assert code == 1 and out == "" and "max_restarts must be non-negative" in err
 
 
 def test_params_output(capsys):
@@ -165,7 +165,7 @@ def test_params_output(capsys):
     assert "rho_max  = 2.73" in out
     assert "p2" in out
     code, out, err = run_cli(capsys, "params", "--epsilon", "nan")
-    assert code == 2 and out == "" and "epsilon" in err
+    assert code == 1 and out == "" and "epsilon" in err
 
 
 def test_construct_and_bench_share_delta_rule(capsys, petersen_file, tmp_path):
@@ -181,6 +181,38 @@ def test_construct_and_bench_share_delta_rule(capsys, petersen_file, tmp_path):
     assert code == 0
     with open(tmp_path / "o.csv", newline="") as handle:
         assert {row["delta"] for row in csv.DictReader(handle)} == {delta}
+
+
+BAD_OPTIONS = (  # (construct flags, bench method keys): each one bad girth5 option value
+    (["--delta", "3/2"], {"delta": "3/2"}),
+    (["--epsilon", "-3"], {"epsilon": -3}),
+    (["--delta", "1/5", "--epsilon", "-3"], {"delta": "1/5", "epsilon": -3}),
+    (["--epsilon", "nan"], {"epsilon": float("nan")}),
+    (["--max-rounds", "-1"], {"max_rounds": -1}),
+    (["--max-restarts", "-1"], {"max_restarts": -1}),
+    (["--max-rounds", "2.5"], {"max_rounds": 2.5}),
+)
+
+
+def test_construct_and_bench_share_option_checks(capsys, petersen_file, tmp_path):
+    # one verdict per value wherever it enters: exit 1 and the same line, the bench's only naming the config
+    cfg_path = tmp_path / "bench.json"
+    for flags, keys in BAD_OPTIONS:
+        code, out, err = run_cli(
+            capsys, "construct", "-g", str(petersen_file), "--rho", "1/3", "--method", "girth5", *flags
+        )
+        assert code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+        cfg_path.write_text(
+            json.dumps({"instances": ["petersen"], "rhos": ["1/3"], "methods": [{"method": "girth5", **keys}]})
+        )
+        code, out, bench_err = run_cli(capsys, "bench", "--config", str(cfg_path), "-o", str(tmp_path / "o.csv"))
+        assert code == 1 and out == ""
+        assert bench_err == err.replace("error: ", f"error: {cfg_path}: ", 1)
+    # the options are checked whatever the method
+    code, out, err = run_cli(
+        capsys, "construct", "-g", str(petersen_file), "--rho", "1/3", "--method", "tree", "--max-restarts", "-1"
+    )
+    assert code == 1 and out == "" and "max_restarts must be non-negative" in err
 
 
 def test_input_error_exits(capsys, tmp_path, petersen_file):

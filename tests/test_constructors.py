@@ -398,7 +398,9 @@ def test_girth5_preconditions():
         girth5_construct(p3, "1/10", delta="1/2")  # max degree below 1/rho
 
     for kwargs in (
-        {"rho": float("nan")}, {"rho": "inf"}, {"delta": "3/2"}, {"epsilon": float("nan")}, {"max_restarts": -1}
+        {"rho": float("nan")}, {"rho": "inf"}, {"delta": "3/2"}, {"epsilon": float("nan")}, {"max_restarts": -1},
+        {"delta": "1/5", "epsilon": -3}, {"delta": "1/5", "epsilon": float("nan")}, {"epsilon": float("inf")},
+        {"max_rounds": 2.5}, {"max_restarts": True},
     ):
         with pytest.raises(PreconditionError):
             girth5_construct(petersen(), **{"rho": "1/3", **kwargs})
