@@ -9,8 +9,8 @@ hull is the whole vertex set is a dynamic monopoly (perfect target set).
 All propagation runs on one incremental engine, ``Cascade``: ``add(T)`` on
 a state closed at hull(S) leaves hull(S | T), since every closed superset of
 S | T contains hull(S) | T.  ``hull`` is one add on a fresh state; the greedy
-kernel and the girth5 rounds extend one state, the exact search runs one per
-candidate.
+kernel and the girth5 rounds extend one state, the exact search forks one per
+prefix of a candidate.
 
 Thresholds of the proportional family are phi(u) = ceil(rho * deg(u)) for a
 rational rho in (0, 1].  All threshold arithmetic is exact: rho is a
@@ -140,6 +140,13 @@ class Cascade:
         self.count = [0] * g.n
         self.rounds: dict[int, int] = {}
         self._zero = [u for u, t in enumerate(phi) if t <= 0]
+
+    def fork(self) -> Cascade:
+        """An independent copy of this state: adds to either leave the other as it was."""
+        twin = Cascade.__new__(Cascade)
+        twin.adj, twin.phi, twin._zero = self.adj, self.phi, self._zero
+        twin.active, twin.count, twin.rounds = self.active[:], self.count[:], dict(self.rounds)
+        return twin
 
     def add(self, seeds: Iterable[int]) -> int:
         """Activate ``seeds``, close under the thresholds and return the active count.

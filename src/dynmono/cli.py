@@ -81,6 +81,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.limit < 0:
+        raise InputFormatError(f"limit must be non-negative, got {args.limit}")
     g = _load(args.graph, "graph", parse_graph)
     phi = proportional_thresholds(g, parse_rho(args.rho))
     t0 = time.perf_counter()
@@ -154,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-set", required=True)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("solve", help="exact minimum monopoly by exhaustive search")
+    p = sub.add_parser("solve", help="exact minimum monopoly by pruned search")
     p.add_argument("-g", "--graph", required=True)
     p.add_argument("--rho", required=True)
     p.add_argument("--limit", type=int, default=DEFAULT_SIZE_LIMIT)

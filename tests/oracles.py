@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from dynmono import Graph, connected_components, from_edges, induced_subgraph
+from dynmono.cascade import Cascade
 from dynmono.generators import _gnp_edges
 
 
@@ -97,6 +98,18 @@ def naive_min_monopoly(adj: list[list[int]], phi) -> tuple[int, tuple[int, ...]]
         for cand in combinations(range(n), k):
             if naive_is_monopoly(adj, phi, cand):
                 return k, cand
+    raise AssertionError("unreachable")
+
+
+def min_monopoly_exhaustive_reference(g: Graph, phi) -> tuple[int, tuple[int, ...], int]:
+    """Exhaustive search for min_monopoly_exact's h, witness and nodes_explored: one fresh
+    cascade per candidate in increasing size and lexicographic order, counting candidates."""
+    explored = 0
+    for k in range(g.n + 1):
+        for cand in combinations(range(g.n), k):
+            explored += 1
+            if Cascade(g, phi).add(cand) == g.n:
+                return k, cand, explored
     raise AssertionError("unreachable")
 
 

@@ -91,6 +91,8 @@ def test_solve_size_limit(capsys, tmp_path):
     assert code == 3 and "refused" in err
     code, out, _ = run_cli(capsys, "solve", "-g", str(path), "--rho", "1/2", "--force")
     assert code == 0 and json.loads(out)["h"] == 1
+    code, out, err = run_cli(capsys, "solve", "-g", str(path), "--rho", "1/2", "--limit", "-1")
+    assert code == 1 and out == "" and err.strip() == "error: limit must be non-negative, got -1"
 
 
 def test_construct_all_methods(capsys, petersen_file, tmp_path):

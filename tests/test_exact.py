@@ -9,6 +9,7 @@ from dynmono import (
     GeneratorSpec,
     SizeLimitError,
     abw_bound,
+    connected_components,
     from_edges,
     generate,
     is_monopoly,
@@ -16,7 +17,7 @@ from dynmono import (
     proportional_thresholds,
 )
 from instances import adj_lists, gnp
-from oracles import naive_min_monopoly
+from oracles import min_monopoly_exhaustive_reference, naive_min_monopoly
 
 
 def test_star_tight_case():
@@ -64,6 +65,52 @@ def test_minimality_spot_check():
         if res.h > 0:
             for cand in combinations(range(n), res.h - 1):
                 assert not is_monopoly(g, phi, cand)
+
+
+def test_exact_matches_exhaustive_reference():
+    import networkx as nx
+
+    for atlas in nx.graph_atlas_g():
+        g = from_edges(atlas.number_of_nodes(), atlas.edges())
+        for rho in (1, Fraction(2, 3), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 7)):
+            phi = proportional_thresholds(g, rho)
+            res = min_monopoly_exact(g, phi)
+            assert (res.h, res.witness, res.nodes_explored) == min_monopoly_exhaustive_reference(g, phi)
+
+    # arbitrary thresholds in [0, deg], not only proportional ones
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(1000):
+        g = gnp(rng.randint(0, 13), rng.random(), rng)
+        phi = tuple(rng.randint(0, d) for d in g.degrees)
+        res = min_monopoly_exact(g, phi)
+        assert (res.h, res.witness, res.nodes_explored) == min_monopoly_exhaustive_reference(g, phi)
+        cases = {
+            "empty": g.n == 0,
+            "isolated vertex": 0 in g.degrees,
+            "phi = 0 below deg": any(t == 0 < d for t, d in zip(phi, g.degrees)),
+            "disconnected": len(connected_components(g)) > 1,
+        }
+        seen.update(name for name, hit in cases.items() if hit)
+    assert len(seen) == 4
+
+
+@pytest.mark.parametrize(
+    "family, n, h, witness, nodes_explored, max_cascades",
+    [
+        ("cycle", 18, 9, tuple(range(0, 18, 2)), 122284, 1000),
+        ("path", 18, 9, tuple(range(0, 18, 2)), 122284, 1000),
+        ("complete", 14, 13, tuple(range(13)), 16370, 10000),
+        ("petersen", None, 6, (0, 1, 3, 7, 8, 9), 693, None),
+    ],
+)
+def test_exact_pinned_solves(family, n, h, witness, nodes_explored, max_cascades):
+    # h, witness and nodes_explored recorded from the exhaustive solver; the
+    # cascade ceilings fail a search that stops pruning
+    g = generate(GeneratorSpec(family, n))
+    res = min_monopoly_exact(g, proportional_thresholds(g, 1))
+    assert (res.h, res.witness, res.nodes_explored) == (h, witness, nodes_explored)
+    assert max_cascades is None or res.cascades <= max_cascades
 
 
 def test_size_limit():
