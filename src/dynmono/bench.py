@@ -6,6 +6,8 @@ adding cells to a config never perturbs existing cells.  Deterministic
 methods (tree, v2) run a single trial per cell.  Every emitted row is
 re-verified by an independent hull call; an invalid construction aborts the
 run.  Cells whose preconditions fail are recorded as skipped, not errors.
+``load_config`` checks every field once: a method entry becomes its girth5
+options, a ``path`` instance a Path resolved against the config's directory.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .cascade import is_monopoly, parse_rho, proportional_thresholds, to_number
-from .constructors import BUILDERS, GIRTH5_OPTIONS, girth5_options
+from .constructors import BUILDERS, girth5_options
 from .errors import InputFormatError, PreconditionError
 from .exact import abw_bound
 from .generators import GeneratorSpec, generate
@@ -47,7 +49,6 @@ CSV_COLUMNS = [
 ]
 
 DETERMINISTIC_METHODS = ("tree", "v2")
-METHODS = tuple(BUILDERS)
 
 CONST_583 = 2.0 * math.sqrt(2.0) + 3.0
 CONST_492 = 4.92
@@ -55,32 +56,15 @@ CONST_492 = 4.92
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """A method and its girth5 options (constructors.GIRTH5_OPTIONS); None means the default."""
+    """A method and its girth5 options: what ``constructors.girth5_options`` returns, or any part of it."""
 
     name: str
-    delta: Fraction | int | str | float | None = None
-    epsilon: float | None = None
-    max_rounds: int | None = None
-    max_restarts: int | None = None
-    allow_low_girth: bool | None = None
-
-
-@dataclass(frozen=True)
-class InstanceSpec:
-    """Either a generator family or an edge-list file."""
-
-    gen: GeneratorSpec | None = None
-    path: str | None = None
-
-    def label(self) -> str:
-        if self.gen is not None:
-            return self.gen.label()
-        return Path(self.path or "").name
+    options: dict = field(default_factory=dict)
 
 
 @dataclass
 class BenchConfig:
-    instances: tuple[InstanceSpec, ...]
+    instances: tuple[GeneratorSpec | Path, ...]  # a Path is an edge-list file
     rhos: tuple[Fraction, ...]
     methods: tuple[MethodSpec, ...]
     trials: int = 1
@@ -96,22 +80,20 @@ class BenchResult:
     summary: dict[str, dict] = field(default_factory=dict)
 
 
-def _parse_instance(entry) -> InstanceSpec:
+def _parse_instance(entry, config_dir: Path) -> GeneratorSpec | Path:
     if isinstance(entry, str):
-        return InstanceSpec(gen=GeneratorSpec(family=entry))
+        return GeneratorSpec(family=entry)
     if not isinstance(entry, dict):
         raise InputFormatError(f"instance entry must be a string or object, got {entry!r}")
     if "path" in entry:
-        return InstanceSpec(path=str(entry["path"]))
+        return config_dir / str(entry["path"])
     if "family" not in entry:
         raise InputFormatError(f"instance entry needs 'family' or 'path': {entry!r}")
-    return InstanceSpec(
-        gen=GeneratorSpec(
-            family=str(entry["family"]),
-            n=None if entry.get("n") is None else to_number(entry["n"], "n"),  # null means unset
-            p=None if entry.get("p") is None else to_number(entry["p"], "p", float),
-            rng_seed=to_number(entry.get("seed", 0), "seed"),
-        )
+    return GeneratorSpec(
+        family=str(entry["family"]),
+        n=None if entry.get("n") is None else to_number(entry["n"], "n"),  # null means unset
+        p=None if entry.get("p") is None else to_number(entry["p"], "p", float),
+        rng_seed=to_number(entry.get("seed", 0), "seed"),
     )
 
 
@@ -124,10 +106,9 @@ def _parse_method(entry) -> MethodSpec:
         name, extra = str(entry["method"]), entry
     else:
         raise InputFormatError(f"method entry must be a string or object, got {entry!r}")
-    if name not in METHODS:
-        raise InputFormatError(f"unknown method {name!r}; known: {', '.join(METHODS)}")
-    options = girth5_options(extra)  # for every method: a bad value is a config error at load, not a skipped cell
-    return MethodSpec(name=name, **{**options, "delta": extra.get("delta")})  # delta kept as written
+    if name not in BUILDERS:
+        raise InputFormatError(f"unknown method {name!r}; known: {', '.join(BUILDERS)}")
+    return MethodSpec(name, girth5_options(extra))  # for every method: a bad value is a config error at load
 
 
 def load_config(path: str | Path) -> BenchConfig:
@@ -140,7 +121,7 @@ def load_config(path: str | Path) -> BenchConfig:
         raise InputFormatError(f"{path}: config must be a JSON object")
     try:  # a ValueError here is a bad field (InputFormatError and PreconditionError are ValueErrors)
         config = BenchConfig(
-            instances=tuple(_parse_instance(e) for e in raw.get("instances", [])),
+            instances=tuple(_parse_instance(e, Path(path).parent) for e in raw.get("instances", [])),
             rhos=tuple(parse_rho(r) for r in raw.get("rhos", [])),
             methods=tuple(_parse_method(e) for e in raw.get("methods", [])),
             trials=to_number(raw.get("trials", 1), "trials"),
@@ -155,30 +136,28 @@ def load_config(path: str | Path) -> BenchConfig:
     return config
 
 
-def _load_instance(inst: InstanceSpec, base_dir: Path) -> Graph:
-    if inst.gen is not None:
-        return generate(inst.gen)
-    path = Path(inst.path or "")
-    if not path.is_absolute():
-        path = base_dir / path
-    return parse_graph(path.read_text(encoding="utf-8"))
+def _load_instance(inst: GeneratorSpec | Path) -> tuple[str, Graph]:
+    if isinstance(inst, Path):
+        return inst.name, parse_graph(inst.read_text(encoding="utf-8"))
+    try:
+        return inst.label(), generate(inst)
+    except PreconditionError as exc:  # a size or family no generator takes is a bad config entry
+        raise InputFormatError(f"instance {inst.label()}: {exc}") from None
 
 
-def run_bench(config: BenchConfig, base_dir: str | Path = ".") -> BenchResult:
+def run_bench(config: BenchConfig) -> BenchResult:
     result = BenchResult()
-    base_dir = Path(base_dir)
     ratios: dict[str, list[float]] = {}
     for inst in config.instances:
-        g = _load_instance(inst, base_dir)
-        family = inst.label()
+        family, g = _load_instance(inst)
         for rho in config.rhos:
             phi = proportional_thresholds(g, rho)
             bound_abw = float(abw_bound(g, phi))
             rho_n = float(rho) * g.n
             for method in config.methods:
                 trials = 1 if method.name in DETERMINISTIC_METHODS else config.trials
-                cell_epsilon = method.epsilon if method.epsilon is not None else config.epsilon
-                options = {**{name: getattr(method, name) for name in GIRTH5_OPTIONS}, "epsilon": cell_epsilon}
+                cell_epsilon = method.options.get("epsilon") or config.epsilon  # a checked epsilon is above 0
+                options = {**method.options, "epsilon": cell_epsilon}
                 for trial in range(trials):
                     rng_seed = stable_seed(
                         config.rng_seed_base, family, g.n, str(rho), method.name, trial

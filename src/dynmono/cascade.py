@@ -8,9 +8,9 @@ hull is the whole vertex set is a dynamic monopoly (perfect target set).
 
 All propagation runs on one incremental engine, ``Cascade``: ``add(T)`` on
 a state closed at hull(S) leaves hull(S | T), since every closed superset of
-S | T contains hull(S) | T.  ``hull`` is one add on a fresh state; the greedy
-kernel and the girth5 rounds extend one state, the exact search forks one per
-prefix of a candidate.
+S | T contains hull(S) | T.  ``hull``, the checked entry, is one add on a fresh
+state.  The package runs states unchecked: constructor self-checks, the greedy
+kernel, girth5 attempts (forks of the kernel's), exact-search prefixes (forks).
 
 Thresholds of the proportional family are phi(u) = ceil(rho * deg(u)) for a
 rational rho in (0, 1].  All threshold arithmetic is exact: rho is a
@@ -130,7 +130,7 @@ class Cascade:
 
     A run of adds ends on the hull of every seed added so far, each add costing
     the degrees of the vertices it activates.  A fresh state is closed after its
-    first add.  Ids are not validated (``hull`` does).
+    first add.  Neither ids nor thresholds are checked (``hull`` checks both).
     """
 
     def __init__(self, g: Graph, phi: Thresholds):
@@ -182,13 +182,12 @@ class Cascade:
                 rounds[u] = generation
 
 
-def hull(g: Graph, phi: Thresholds, seed: Iterable[int], *, validate: bool = True) -> CascadeResult:
-    """Compute the activation hull of ``seed``: one ``Cascade.add`` on a fresh state.
+def hull(g: Graph, phi: Thresholds, seed: Iterable[int]) -> CascadeResult:
+    """The activation hull of ``seed``, thresholds and ids checked: one ``Cascade.add`` on a fresh state.
 
     Vertices with phi = 0 are in every hull and join at round 1 unless seeded.
     """
-    if validate:
-        check_thresholds(g, phi)
+    check_thresholds(g, phi)
     seed_list = sorted(set(seed))
     if seed_list and (seed_list[0] < 0 or seed_list[-1] >= g.n):
         raise PreconditionError(f"seed contains ids outside 0..{g.n - 1}")

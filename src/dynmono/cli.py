@@ -43,7 +43,7 @@ def _load(path: str, what: str, parse):
 
 def cmd_gen(args) -> int:
     spec = GeneratorSpec(family=args.family, n=args.n, p=args.p, rng_seed=args.seed)
-    g = generate(spec)
+    g = from_input(generate, spec)  # a size or probability no family takes is a bad flag
     Path(args.output).write_text(serialize_graph(g), encoding="utf-8")
     print(f"wrote {args.family} graph: n={g.n} m={g.m} -> {args.output}")
     return 0
@@ -119,7 +119,7 @@ def cmd_bench(args) -> int:
     output = args.output or config.output
     if output is None:
         raise InputFormatError("no output path: pass -o or set 'output' in the config")
-    result = bench_mod.run_bench(config, base_dir=Path(args.config).parent)
+    result = bench_mod.run_bench(config)
     bench_mod.write_csv(result.rows, output)
     print(f"wrote {output}")
     for line in bench_mod.summary_lines(result):

@@ -32,8 +32,8 @@ Four methods, named by their CLI tags:
     (all others have threshold 1, so the cascade floods); one vertex when
     none qualifies.
 
-Every constructor hull-verifies its output before returning; a failed
-verification raises, it is never reported as an unverified seed.
+Every constructor hull-verifies its output on a fresh ``Cascade`` before
+returning; a failed verification raises, it is never an unverified seed.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -50,7 +50,6 @@ from .cascade import (
     Thresholds,
     check_thresholds,
     degree_partition,
-    hull,
     proportional_thresholds,
     to_fraction,
     to_number,
@@ -124,7 +123,7 @@ def activation_probability(delta: float) -> float:
 
 
 def default_round_count(n: int, delta: float) -> int:
-    """Smallest k with delta^k * n + 1/(1+delta) < 1.
+    """Smallest k with delta^k * n + 1/(1+delta) < 1, counting up from k = 1.
 
     With per-round survival delta, after k such rounds the expected number
     of inactive vertices plus the rejection mass drops below 1, which is
@@ -135,11 +134,9 @@ def default_round_count(n: int, delta: float) -> int:
     if not 0.0 < delta < 1.0:
         raise PreconditionError("delta must lie in (0, 1)")
     threshold = delta / (1.0 + delta)
-    k = max(1, math.ceil(math.log(n * (1.0 + delta) / delta) / math.log(1.0 / delta)))
+    k = 1
     while delta**k * n >= threshold:
         k += 1
-    while k > 1 and delta ** (k - 1) * n < threshold:
-        k -= 1
     return k
 
 
@@ -211,16 +208,7 @@ class Girth5Trace:
     restarts: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "kernel": list(self.kernel),
-            "kernel_hull_size": self.kernel_hull_size,
-            "rounds": [
-                {"sampled": r.sampled, "added": list(r.added), "hull_size": r.hull_size}
-                for r in self.rounds
-            ],
-            "fallback_used": self.fallback_used,
-            "restarts": self.restarts,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -251,7 +239,7 @@ class MonopolySeed:
 
 
 def _verify(g: Graph, phi: Thresholds, seed: Iterable[int], method: str) -> None:
-    if not hull(g, phi, seed, validate=False).is_monopoly:
+    if Cascade(g, phi).add(seed) < g.n:
         raise AssertionError(f"{method} produced a non-monopoly seed")
 
 
@@ -337,16 +325,16 @@ def greedy_kernel(
 
 def _sampling_rounds(
     g: Graph,
-    phi: Thresholds,
+    base: Cascade,
     kernel: tuple[int, ...],
-    pool: list[int],
     p1: float,
     max_rounds: int,
     rng: random.Random,
 ) -> tuple[tuple[int, ...], tuple[RoundRecord, ...], bool]:
-    """One full run of the random rounds, extending one cascade from the kernel."""
-    state = Cascade(g, phi)
-    size = state.add(kernel)
+    """One full run of the random rounds, extending a fork of ``base``, the kernel's closed cascade."""
+    state = base.fork()
+    size = len(state.rounds)
+    pool = [u for u in range(g.n) if not state.active[u]]  # every round samples from outside the kernel's hull
     seed, raw = list(kernel), list(kernel)
     records: list[RoundRecord] = []
     while size < g.n and len(records) < max_rounds:
@@ -356,7 +344,9 @@ def _sampling_rounds(
         raw.extend(xi)
         size = state.add(yi)
         # discarded samples are exactly the absorbed ones: a from-scratch hull of kernel + raw samples must agree
-        if hull(g, phi, raw, validate=False).active != frozenset(state.rounds):
+        check = Cascade(g, state.phi)
+        check.add(raw)
+        if check.active != state.active:
             raise AssertionError("raw-sample hull diverged from seed hull")
         records.append(RoundRecord(sampled=len(xi), added=yi, hull_size=size))
     fallback = size < g.n  # then every vertex still inactive is added
@@ -413,20 +403,18 @@ def girth5_construct(
         raise PreconditionError("graph has a cycle of length 3 or 4; pass allow_low_girth to proceed")
     kernel = greedy_kernel(g, r, d)  # also checks max degree >= 1/rho
     phi = proportional_thresholds(g, r)
-    base = hull(g, phi, kernel, validate=False)
-    pool = [u for u in range(g.n) if u not in base.active]
+    base = Cascade(g, phi)
+    base_size = base.add(kernel)
     fd = float(d)
     p1 = float(r) / (1.0 - fd)
     rounds_cap = default_round_count(g.n, fd) if options["max_rounds"] is None else options["max_rounds"]
     size_target = (1 + d) * ((1 + d) + 1 / (1 - d) ** 2) * r * g.n
     best: tuple[tuple[int, ...], tuple[RoundRecord, ...], bool] | None = None
-    restarts = 0
-    for attempt in range(max_restarts + 1):
-        rng = random.Random(stable_seed(rng_seed, "attempt", attempt))
-        result = _sampling_rounds(g, phi, kernel, pool, p1, rounds_cap, rng)
+    for restarts in range(max_restarts + 1):  # max_restarts >= 0, so restarts is bound after the loop
+        rng = random.Random(stable_seed(rng_seed, "attempt", restarts))
+        result = _sampling_rounds(g, base, kernel, p1, rounds_cap, rng)
         if best is None or len(result[0]) < len(best[0]):
             best = result
-        restarts = attempt
         if len(result[0]) <= size_target:
             break
     assert best is not None
@@ -434,7 +422,7 @@ def girth5_construct(
     _verify(g, phi, seed, "girth5")
     trace = Girth5Trace(
         kernel=kernel,
-        kernel_hull_size=len(base.active),
+        kernel_hull_size=base_size,
         rounds=records,
         fallback_used=fallback,
         restarts=restarts,

@@ -10,8 +10,6 @@ from dataclasses import dataclass
 from .errors import PreconditionError
 from .graphs import Graph, connected_components, from_edges, induced_subgraph
 
-FAMILIES = ("star", "path", "cycle", "complete", "petersen", "random_tree", "random_girth5")
-
 RANDOM_FAMILIES = ("random_tree", "random_girth5")
 
 
@@ -136,18 +134,14 @@ def _gnp_edges(n: int, p: float, rng: random.Random) -> list[tuple[int, int]]:
 
 def _edge_on_short_cycle(nbr: list[set[int]], u: int, v: int) -> bool:
     """Does edge (u,v) lie on a cycle of length 3 or 4?"""
-    if nbr[u] & nbr[v]:
-        return True
+    others = nbr[u] - {v}
     for a in nbr[v]:
-        if a == u:
-            continue
-        for b in nbr[a]:
-            if b != v and b != u and b in nbr[u]:
-                return True
+        if a != u and (a in others or not others.isdisjoint(nbr[a])):
+            return True
     return False
 
 
-def random_girth5(n: int, p: float, rng_seed: int = 0) -> Graph:
+def random_girth5(n: int, p: float | None, rng_seed: int = 0) -> Graph:
     """Seeded G(n, p) repaired to girth >= 5, restricted to its largest component.
 
     Repair visits the edges (u, v), u < v, once in lexicographic order and
@@ -159,6 +153,8 @@ def random_girth5(n: int, p: float, rng_seed: int = 0) -> Graph:
     one containing the smallest vertex id.  The result can have fewer than
     n vertices; ids are relabeled to 0..n'-1 preserving order.
     """
+    if p is None:
+        raise PreconditionError("random_girth5 requires an edge probability p")
     if n < 1:
         raise PreconditionError("random_girth5 needs at least one vertex")
     if not 0.0 < p < 1.0:
@@ -180,25 +176,26 @@ def random_girth5(n: int, p: float, rng_seed: int = 0) -> Graph:
     return sub
 
 
+def _n(spec: GeneratorSpec) -> int:
+    if spec.n is None:
+        raise PreconditionError(f"family {spec.family!r} requires n")
+    return spec.n
+
+
+# Family name -> builder(spec), in the order of the CLI's --family choices.
+FAMILIES = {
+    "star": lambda spec: star(_n(spec)),
+    "path": lambda spec: path(_n(spec)),
+    "cycle": lambda spec: cycle(_n(spec)),
+    "complete": lambda spec: complete(_n(spec)),
+    "petersen": lambda spec: petersen(),
+    "random_tree": lambda spec: random_tree(_n(spec), spec.rng_seed),
+    "random_girth5": lambda spec: random_girth5(_n(spec), spec.p, spec.rng_seed),
+}
+
+
 def generate(spec: GeneratorSpec) -> Graph:
     """Materialize a GeneratorSpec.  Deterministic given the spec (seed included)."""
-    fam = spec.family
-    if fam not in FAMILIES:
-        raise PreconditionError(f"unknown family {fam!r}; known: {', '.join(FAMILIES)}")
-    if fam == "petersen":
-        return petersen()
-    if spec.n is None:
-        raise PreconditionError(f"family {fam!r} requires n")
-    if fam == "star":
-        return star(spec.n)
-    if fam == "path":
-        return path(spec.n)
-    if fam == "cycle":
-        return cycle(spec.n)
-    if fam == "complete":
-        return complete(spec.n)
-    if fam == "random_tree":
-        return random_tree(spec.n, spec.rng_seed)
-    if spec.p is None:
-        raise PreconditionError("random_girth5 requires an edge probability p")
-    return random_girth5(spec.n, spec.p, spec.rng_seed)
+    if spec.family not in FAMILIES:
+        raise PreconditionError(f"unknown family {spec.family!r}; known: {', '.join(FAMILIES)}")
+    return FAMILIES[spec.family](spec)

@@ -303,7 +303,7 @@ def test_c10_bench_determinism(tmp_path):
         cfg.write_text(json.dumps(config_payload), encoding="utf-8")
         outs = []
         for run in range(2):
-            result = run_bench(load_config(cfg), base_dir=tmp_path)
+            result = run_bench(load_config(cfg))
             out = tmp_path / f"run{run}.csv"
             write_csv(result.rows, out)
             outs.append(out.read_text(encoding="utf-8"))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dynmono import InputFormatError, load_config, run_bench, serialize_graph, write_csv
-from dynmono.bench import CSV_COLUMNS, InstanceSpec, MethodSpec, BenchConfig
+from dynmono.bench import CSV_COLUMNS, MethodSpec, BenchConfig
 from dynmono import GeneratorSpec, generate, girth5_params
 from dynmono import graphs as graphs_mod
 
@@ -31,10 +31,10 @@ def test_load_config_full(tmp_path):
     )
     config = load_config(path)
     assert len(config.instances) == 3
-    assert config.instances[2].path == "g.txt"
+    assert config.instances[2] == tmp_path / "g.txt"  # resolved against the config file's directory
     assert config.rhos == (Fraction(1, 3), Fraction(1, 2))
-    assert config.methods[1].delta == "0.5"
-    assert config.methods[1].max_restarts == 2
+    assert config.methods[1].options["delta"] == Fraction(1, 2)  # checked at load, not kept as written
+    assert config.methods[1].options["max_restarts"] == 2
     assert config.trials == 3 and config.rng_seed_base == 11
     assert config.epsilon == 0.7
 
@@ -110,7 +110,7 @@ def test_load_config_rejects_non_integer_entry_field(tmp_path, key, value):
 def test_petersen_row_count():
     # deterministic methods emit one row per cell, randomized ones one per trial
     config = BenchConfig(
-        instances=(InstanceSpec(gen=GeneratorSpec("petersen")),),
+        instances=(GeneratorSpec("petersen"),),
         rhos=(Fraction(1, 3),),
         methods=(MethodSpec("v2"), MethodSpec("abw"), MethodSpec("girth5")),
         trials=5,
@@ -129,7 +129,7 @@ def test_petersen_row_count():
 
 def test_tightness_row():
     config = BenchConfig(
-        instances=(InstanceSpec(gen=GeneratorSpec("star", 4)),),
+        instances=(GeneratorSpec("star", 4),),
         rhos=(Fraction(1, 5),),
         methods=(MethodSpec("tree"),),
         trials=1,
@@ -148,19 +148,19 @@ def test_girth5_cell_delta_follows_epsilon():
     for method, epsilon, delta in (
         (MethodSpec("girth5"), None, "1/2"),
         (MethodSpec("girth5"), 0.568, derived),
-        (MethodSpec("girth5", epsilon=0.568), None, derived),
-        (MethodSpec("girth5", epsilon=0.568), 7.0, derived),
-        (MethodSpec("girth5", delta="1/5"), 0.568, "1/5"),
+        (MethodSpec("girth5", {"epsilon": 0.568}), None, derived),
+        (MethodSpec("girth5", {"epsilon": 0.568}), 7.0, derived),
+        (MethodSpec("girth5", {"delta": Fraction(1, 5)}), 0.568, "1/5"),
     ):
         config = BenchConfig(
-            instances=(InstanceSpec(gen=GeneratorSpec("petersen")),),
+            instances=(GeneratorSpec("petersen"),),
             rhos=(Fraction(1, 3),),
             methods=(method,),
             epsilon=epsilon,
         )
         row = run_bench(config).rows[0]
         assert row["delta"] == delta
-        cell_epsilon = method.epsilon if method.epsilon is not None else epsilon
+        cell_epsilon = method.options.get("epsilon", epsilon)
         assert row["bound_2eps"] == (f"{(2 + cell_epsilon) * 10 / 3:.6f}" if cell_epsilon else "")
 
 
@@ -170,9 +170,9 @@ def test_girth5_scan_runs_once_per_instance(monkeypatch):
     scan = graphs_mod._scan_girth_at_least_five
     monkeypatch.setattr(graphs_mod, "_scan_girth_at_least_five", lambda g: scans.append(g.n) or scan(g))
     config = BenchConfig(
-        instances=(InstanceSpec(gen=GeneratorSpec("random_girth5", 200, p=0.03, rng_seed=4)),),
+        instances=(GeneratorSpec("random_girth5", 200, p=0.03, rng_seed=4),),
         rhos=(Fraction(1, 2), Fraction(1, 4)),
-        methods=(MethodSpec("girth5", max_restarts=2),),
+        methods=(MethodSpec("girth5", {"max_restarts": 2}),),
         trials=3,
     )
     result = run_bench(config)
@@ -182,7 +182,7 @@ def test_girth5_scan_runs_once_per_instance(monkeypatch):
 
 def test_skipped_cells_record_reason():
     config = BenchConfig(
-        instances=(InstanceSpec(gen=GeneratorSpec("star", 4)),),
+        instances=(GeneratorSpec("star", 4),),
         rhos=(Fraction(1, 5),),
         methods=(MethodSpec("girth5"),),  # max degree 4 < 5 = 1/rho
         trials=2,
@@ -221,8 +221,8 @@ def test_determinism_excluding_runtime(tmp_path):
         "epsilon": 0.8,
     }
     path = _write_config(tmp_path, config_payload)
-    r1 = run_bench(load_config(path), base_dir=tmp_path)
-    r2 = run_bench(load_config(path), base_dir=tmp_path)
+    r1 = run_bench(load_config(path))
+    r2 = run_bench(load_config(path))
 
     def strip(rows):
         return [{k: v for k, v in row.items() if k != "runtime_ms"} for row in rows]
@@ -242,9 +242,9 @@ def test_rows_cross_checked_against_exact_oracle():
     tree = generate(GeneratorSpec("random_tree", 10, rng_seed=5))
     config = BenchConfig(
         instances=(
-            InstanceSpec(gen=GeneratorSpec("petersen")),
-            InstanceSpec(gen=GeneratorSpec("random_tree", 10, rng_seed=5)),
-            InstanceSpec(gen=GeneratorSpec("star", 9)),
+            GeneratorSpec("petersen"),
+            GeneratorSpec("random_tree", 10, rng_seed=5),
+            GeneratorSpec("star", 9),
         ),
         rhos=(F(1, 3), F(1, 10)),
         methods=(MethodSpec("v2"), MethodSpec("abw"), MethodSpec("tree"), MethodSpec("girth5")),
@@ -269,7 +269,7 @@ def test_rows_cross_checked_against_exact_oracle():
 
 def test_bound_columns_and_epsilon_empty():
     config = BenchConfig(
-        instances=(InstanceSpec(gen=GeneratorSpec("cycle", 5)),),
+        instances=(GeneratorSpec("cycle", 5),),
         rhos=(Fraction(1),),
         methods=(MethodSpec("abw"),),
         trials=1,

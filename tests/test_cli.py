@@ -42,6 +42,23 @@ def test_gen_random_girth5(capsys, tmp_path):
     assert value == "acyclic" or int(value) >= 5
 
 
+def test_bad_generator_size_is_an_input_error(capsys, tmp_path):
+    # a size or probability no family takes is a bad flag or config entry: exit 1, one line, no output
+    out_path = tmp_path / "g.txt"
+    for flags, message in (
+        (["--family", "path", "--n", "-5"], "error: path needs at least one vertex"),
+        (["--family", "random_girth5", "--n", "20", "--p", "2"],
+         "error: edge probability must lie strictly between 0 and 1"),
+    ):
+        code, out, err = run_cli(capsys, "gen", *flags, "-o", str(out_path))
+        assert (code, out, err) == (1, "", message + "\n")
+        assert not out_path.exists()
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps({"instances": [{"family": "path", "n": -5}], "rhos": ["1/2"], "methods": ["v2"]}))
+    code, out, err = run_cli(capsys, "bench", "--config", str(cfg_path), "-o", str(tmp_path / "o.csv"))
+    assert (code, out, err) == (1, "", "error: instance path:-5: path needs at least one vertex\n")
+
+
 def test_girth_acyclic(capsys, tmp_path):
     path = tmp_path / "t.txt"
     main(["gen", "--family", "random_tree", "--n", "12", "--seed", "3", "-o", str(path)])

@@ -379,6 +379,15 @@ def test_girth5_restarts_exhausted_when_target_unreachable():
     assert ms.size > ms.params["size_target"]
 
 
+def test_girth5_each_attempt_starts_from_the_kernel_hull():
+    # the first two attempts add samples and still miss the ~8.2 size target, so the kept third attempt
+    # must start from the kernel's hull again, not from where the last attempt left off
+    ms = girth5_construct(petersen(), "2/5", delta="1/100", rng_seed=2, max_rounds=1, max_restarts=3)
+    assert ms.trace.restarts == 2 and ms.trace.rounds[0].added
+    record = json.dumps(ms.to_json_dict(), sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(record).hexdigest() == "bb6aad305d9872a1b6cb3eaf00849335819ef3c049160170799e637f18bf5c91"
+
+
 def test_girth5_preconditions():
     c4 = generate(GeneratorSpec("cycle", 4))
     with pytest.raises(PreconditionError):
