@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .cascade import is_monopoly, parse_rho, proportional_thresholds, to_number
+from .cascade import from_file, is_monopoly, parse_rho, proportional_thresholds, to_number
 from .constructors import BUILDERS, girth5_options
 from .errors import InputFormatError, PreconditionError
 from .exact import abw_bound
@@ -89,12 +89,7 @@ def _parse_instance(entry, config_dir: Path) -> GeneratorSpec | Path:
         return config_dir / str(entry["path"])
     if "family" not in entry:
         raise InputFormatError(f"instance entry needs 'family' or 'path': {entry!r}")
-    return GeneratorSpec(
-        family=str(entry["family"]),
-        n=None if entry.get("n") is None else to_number(entry["n"], "n"),  # null means unset
-        p=None if entry.get("p") is None else to_number(entry["p"], "p", float),
-        rng_seed=to_number(entry.get("seed", 0), "seed"),
-    )
+    return GeneratorSpec.read(entry)
 
 
 def _parse_method(entry) -> MethodSpec:
@@ -138,7 +133,7 @@ def load_config(path: str | Path) -> BenchConfig:
 
 def _load_instance(inst: GeneratorSpec | Path) -> tuple[str, Graph]:
     if isinstance(inst, Path):
-        return inst.name, parse_graph(inst.read_text(encoding="utf-8"))
+        return inst.name, from_file(inst, "graph", parse_graph)
     try:
         return inst.label(), generate(inst)
     except PreconditionError as exc:  # a size or family no generator takes is a bad config entry

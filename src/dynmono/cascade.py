@@ -23,6 +23,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import InputFormatError, PreconditionError
@@ -73,6 +74,18 @@ def from_input(convert: Callable[[object], T], value: object) -> T:
         return convert(value)
     except PreconditionError as exc:
         raise InputFormatError(str(exc)) from None
+
+
+def from_file(path: str | Path, what: str, parse: Callable[[str], T]) -> T:
+    """Read a text file and parse it; a failed read or an InputFormatError from ``parse`` names ``path``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputFormatError(f"cannot read {what} file {path}: {exc}") from None
+    try:
+        return parse(text)
+    except InputFormatError as exc:
+        raise InputFormatError(f"{path}: {exc}") from None
 
 
 def parse_rho(text: str) -> Fraction:
@@ -174,8 +187,7 @@ class Cascade:
                         ready.append(v)
             if not ready:
                 return len(rounds)
-            wave = sorted(ready)
-            ready = []
+            wave, ready = ready, []  # the order within a wave changes no vertex's round
             generation += 1
             for u in wave:
                 active[u] = 1

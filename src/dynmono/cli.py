@@ -14,8 +14,8 @@ import time
 from pathlib import Path
 
 from . import bench as bench_mod
-from .cascade import from_input, hull, parse_rho, parse_seed_set, proportional_thresholds
-from .constructors import BUILDERS, GIRTH5_OPTIONS, check_epsilon, girth5_options, girth5_params
+from .cascade import from_file, from_input, hull, parse_rho, parse_seed_set, proportional_thresholds, to_number
+from .constructors import BUILDERS, GIRTH5_OPTIONS, check_count, check_epsilon, girth5_options, girth5_params
 from .errors import InputFormatError, PreconditionError, SizeLimitError
 from .exact import DEFAULT_SIZE_LIMIT, min_monopoly_exact
 from .generators import FAMILIES, GeneratorSpec, generate
@@ -30,19 +30,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _load(path: str, what: str, parse):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {what} file {path}: {exc}") from None
-    try:
-        return parse(text)
-    except InputFormatError as exc:
-        raise InputFormatError(f"{path}: {exc}") from None
-
-
 def cmd_gen(args) -> int:
-    spec = GeneratorSpec(family=args.family, n=args.n, p=args.p, rng_seed=args.seed)
+    spec = from_input(GeneratorSpec.read, vars(args))
     g = from_input(generate, spec)  # a size or probability no family takes is a bad flag
     Path(args.output).write_text(serialize_graph(g), encoding="utf-8")
     print(f"wrote {args.family} graph: n={g.n} m={g.m} -> {args.output}")
@@ -50,15 +39,15 @@ def cmd_gen(args) -> int:
 
 
 def cmd_girth(args) -> int:
-    value = girth(_load(args.graph, "graph", parse_graph))
+    value = girth(from_file(args.graph, "graph", parse_graph))
     print("acyclic" if value == ACYCLIC else int(value))
     return 0
 
 
 def cmd_hull(args) -> int:
-    g = _load(args.graph, "graph", parse_graph)
+    g = from_file(args.graph, "graph", parse_graph)
     phi = proportional_thresholds(g, parse_rho(args.rho))
-    result = hull(g, phi, _load(args.seed_set, "seed", lambda text: parse_seed_set(text, g.n)))
+    result = hull(g, phi, from_file(args.seed_set, "seed", lambda text: parse_seed_set(text, g.n)))
     if args.json:
         print(json.dumps(result.to_json_dict(), indent=2))
     else:
@@ -70,9 +59,9 @@ def cmd_hull(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g = _load(args.graph, "graph", parse_graph)
+    g = from_file(args.graph, "graph", parse_graph)
     phi = proportional_thresholds(g, parse_rho(args.rho))
-    result = hull(g, phi, _load(args.seed_set, "seed", lambda text: parse_seed_set(text, g.n)))
+    result = hull(g, phi, from_file(args.seed_set, "seed", lambda text: parse_seed_set(text, g.n)))
     if result.is_monopoly:
         print("monopoly: true")
     else:
@@ -81,12 +70,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    if args.limit < 0:
-        raise InputFormatError(f"limit must be non-negative, got {args.limit}")
-    g = _load(args.graph, "graph", parse_graph)
+    limit = from_input(lambda value: check_count(value, "limit"), args.limit)
+    g = from_file(args.graph, "graph", parse_graph)
     phi = proportional_thresholds(g, parse_rho(args.rho))
     t0 = time.perf_counter()
-    result = min_monopoly_exact(g, phi, limit=args.limit, force=args.force)
+    result = min_monopoly_exact(g, phi, limit=limit, force=args.force)
     record = {
         "h": result.h,
         "witness": sorted(result.witness),
@@ -98,9 +86,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    g = _load(args.graph, "graph", parse_graph)
+    g = from_file(args.graph, "graph", parse_graph)
     options = from_input(girth5_options, {name: getattr(args, name) for name in GIRTH5_OPTIONS})
-    seed = BUILDERS[args.method](g, parse_rho(args.rho), args.rng_seed, **options)
+    rng_seed = from_input(lambda value: to_number(value, "rng_seed"), args.rng_seed)
+    seed = BUILDERS[args.method](g, parse_rho(args.rho), rng_seed, **options)
     print(json.dumps(seed.to_json_dict(), indent=2))
     return 0
 
@@ -133,9 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate an instance and write its edge list")
     p.add_argument("--family", required=True, choices=list(FAMILIES))
-    p.add_argument("--n", type=int, default=None, help="size (leaf count for star; ignored for petersen)")
-    p.add_argument("--p", type=float, default=None, help="edge probability (random_girth5 only)")
-    p.add_argument("--seed", type=int, default=0, help="generator RNG seed")
+    p.add_argument("--n", default=None, help="size (leaf count for star; ignored for petersen)")
+    p.add_argument("--p", default=None, help="edge probability (random_girth5 only)")
+    p.add_argument("--seed", default=0, help="generator RNG seed")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_gen)
 
@@ -159,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exact minimum monopoly by pruned search")
     p.add_argument("-g", "--graph", required=True)
     p.add_argument("--rho", required=True)
-    p.add_argument("--limit", type=int, default=DEFAULT_SIZE_LIMIT)
+    p.add_argument("--limit", default=DEFAULT_SIZE_LIMIT)
     p.add_argument("--force", action="store_true", help="search even above the size limit")
     p.set_defaults(func=cmd_solve)
 
@@ -169,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=list(BUILDERS))
     p.add_argument("--delta", default=None, help='girth5 slack in (0, 1/2], "P/Q" or decimal (default: see README)')
     p.add_argument("--epsilon", default=None, help="girth5 size budget 2+epsilon")
-    p.add_argument("--rng-seed", type=int, default=0)
+    p.add_argument("--rng-seed", default=0)
     p.add_argument("--max-rounds", default=None)
     p.add_argument("--max-restarts", default=None)
     p.add_argument("--allow-low-girth", action="store_true")

@@ -75,7 +75,8 @@ def check_epsilon(epsilon: float | int | str) -> float:
     return e
 
 
-def _count(value: object, name: str) -> int:
+def check_count(value: object, name: str) -> int:
+    """A count as a non-negative int; PreconditionError naming ``name`` otherwise."""
     if (count := to_number(value, name)) < 0:
         raise PreconditionError(f"{name} must be non-negative, got {count}")
     return count
@@ -92,8 +93,8 @@ def _flag(value: object, name: str) -> bool:
 GIRTH5_OPTIONS: dict[str, tuple[object, Callable[[object], object]]] = {
     "delta": (None, check_delta),
     "epsilon": (None, check_epsilon),
-    "max_rounds": (None, lambda value: _count(value, "max_rounds")),
-    "max_restarts": (0, lambda value: _count(value, "max_restarts")),
+    "max_rounds": (None, lambda value: check_count(value, "max_rounds")),
+    "max_restarts": (0, lambda value: check_count(value, "max_restarts")),
     "allow_low_girth": (False, lambda value: _flag(value, "allow_low_girth")),
 }
 
@@ -123,16 +124,16 @@ def activation_probability(delta: float) -> float:
 
 
 def default_round_count(n: int, delta: float) -> int:
-    """Smallest k with delta^k * n + 1/(1+delta) < 1, counting up from k = 1.
+    """Smallest k with delta^k * n + 1/(1+delta) < 1, counting up from k = 1, for n >= 1 and delta in (0, 1/2].
 
     With per-round survival delta, after k such rounds the expected number
     of inactive vertices plus the rejection mass drops below 1, which is
-    what the first-moment acceptance test needs.
+    what the first-moment acceptance test needs.  The domain is check_delta's,
+    so the count takes at most log2(n) + 2 steps.
     """
     if n < 1:
         raise PreconditionError("round count needs n >= 1")
-    if not 0.0 < delta < 1.0:
-        raise PreconditionError("delta must lie in (0, 1)")
+    check_delta(delta)
     threshold = delta / (1.0 + delta)
     k = 1
     while delta**k * n >= threshold:

@@ -7,6 +7,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from .cascade import to_number
 from .errors import PreconditionError
 from .graphs import Graph, connected_components, from_edges, induced_subgraph
 
@@ -35,6 +36,17 @@ class GeneratorSpec:
         if self.family in RANDOM_FAMILIES:
             parts.append(str(self.rng_seed))
         return ":".join(parts)
+
+    @classmethod
+    def read(cls, entry: dict) -> GeneratorSpec:
+        """A spec from raw values, a bench config entry or the ``gen`` flags: ``family``, and ``n``, ``p`` and
+        ``seed`` read with ``cascade.to_number`` (an absent or None ``n`` or ``p`` is unset); other keys are ignored."""
+        return cls(
+            family=str(entry["family"]),
+            n=None if entry.get("n") is None else to_number(entry["n"], "n"),
+            p=None if entry.get("p") is None else to_number(entry["p"], "p", float),
+            rng_seed=to_number(entry.get("seed", 0), "seed"),
+        )
 
 
 def star(leaves: int) -> Graph:

@@ -24,7 +24,7 @@ Using +inf keeps comparisons like ``girth(g) >= 5`` meaningful for forests.
 class Graph:
     """A simple undirected graph with sorted adjacency lists.
 
-    Invariants (enforced by :func:`from_edges` and :func:`parse_graph`):
+    Invariants (enforced by :func:`from_edges`, which :func:`parse_graph` feeds):
     no self-loops, no duplicate neighbors, symmetric adjacency, and the edge
     count equals half the sum of the degrees.  Instances are immutable and
     safe to share read-only across concurrent workers.
@@ -46,12 +46,8 @@ class Graph:
         return max(self.degrees, default=0)
 
     @cached_property
-    def neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(nbrs) for nbrs in self.adj)
-
-    @cached_property
     def girth_at_least_five(self) -> bool:
-        return _scan_girth_at_least_five(self)
+        return _shortest_cycle(self, 5) >= 5
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges (u, v) with u < v in ascending lexicographic order."""
@@ -73,7 +69,7 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
-            raise PreconditionError(f"edge ({u},{v}) out of range for n={n}")
+            raise PreconditionError(f"vertex id out of range 0..{n - 1} in edge ({u},{v})")
         if u == v:
             raise PreconditionError(f"self-loop at vertex {u}")
         key = (u, v) if u < v else (v, u)
@@ -90,51 +86,44 @@ def parse_graph(text: str) -> Graph:
 
     Format: optional comment lines starting with '#' (and blank lines),
     a header line "n m", then exactly m lines "u v" with 0-based endpoints.
-    Duplicate edges and self-loops are hard errors, reported with their
-    line number, never silently repaired.
+    Only the syntax is read here: the edges go lazily to :func:`from_edges`,
+    whose error on an out-of-range id, a self-loop or a duplicate edge gets
+    the edge's line number.  Nothing is repaired; the first error wins.
     """
-    header: tuple[int, int] | None = None
-    edges: list[tuple[int, int]] = []
-    norm_seen: set[tuple[int, int]] = set()
-    n = m = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if header is None:
-            if len(parts) != 2:
-                raise InputFormatError(f"line {lineno}: expected header 'n m', got {raw!r}")
-            try:
-                n, m = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise InputFormatError(f"line {lineno}: header values must be integers") from None
-            if n < 0 or m < 0:
-                raise InputFormatError(f"line {lineno}: header values must be non-negative")
-            header = (n, m)
-            continue
-        if len(edges) >= m:
-            raise InputFormatError(f"line {lineno}: more than {m} edge lines")
-        if len(parts) != 2:
-            raise InputFormatError(f"line {lineno}: expected edge 'u v', got {raw!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise InputFormatError(f"line {lineno}: edge endpoints must be integers") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise InputFormatError(f"line {lineno}: vertex id out of range 0..{n - 1}")
-        if u == v:
-            raise InputFormatError(f"line {lineno}: self-loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in norm_seen:
-            raise InputFormatError(f"line {lineno}: duplicate edge ({u},{v})")
-        norm_seen.add(key)
-        edges.append((u, v))
-    if header is None:
+    lines = ((lineno, raw, raw.split("#", 1)[0].split()) for lineno, raw in enumerate(text.splitlines(), start=1))
+    lines = (line for line in lines if line[2])
+    lineno, raw, parts = next(lines, (0, "", None))
+    if parts is None:
         raise InputFormatError("empty document: missing 'n m' header")
-    if len(edges) != m:
-        raise InputFormatError(f"expected {m} edges, found {len(edges)}")
-    return from_edges(n, edges)
+    if len(parts) != 2:
+        raise InputFormatError(f"line {lineno}: expected header 'n m', got {raw!r}")
+    try:
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise InputFormatError(f"line {lineno}: header values must be integers") from None
+    if n < 0 or m < 0:
+        raise InputFormatError(f"line {lineno}: header values must be non-negative")
+
+    def edges() -> Iterator[tuple[int, int]]:
+        nonlocal lineno
+        for count, (lineno, raw, parts) in enumerate(lines):
+            if count >= m:
+                raise InputFormatError(f"line {lineno}: more than {m} edge lines")
+            if len(parts) != 2:
+                raise InputFormatError(f"line {lineno}: expected edge 'u v', got {raw!r}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise InputFormatError(f"line {lineno}: edge endpoints must be integers") from None
+            yield u, v
+
+    try:
+        g = from_edges(n, edges())
+    except PreconditionError as exc:  # the edge from_edges refused is the one on the current line
+        raise InputFormatError(f"line {lineno}: {exc}") from None
+    if g.m != m:
+        raise InputFormatError(f"expected {m} edges, found {g.m}")
+    return g
 
 
 def serialize_graph(g: Graph) -> str:
@@ -194,15 +183,25 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, in
 
 
 def girth(g: Graph) -> int | float:
-    """Length of a shortest cycle, or ACYCLIC when g has none.
+    """Length of a shortest cycle, or ACYCLIC when g has none."""
+    return _shortest_cycle(g, ACYCLIC)
+
+
+def girth_at_least_five(g: Graph) -> bool:
+    """Exact test for girth >= 5, no triangle and no 4-cycle: the girth search cut off at five, cached on ``g``."""
+    return g.girth_at_least_five
+
+
+def _shortest_cycle(g: Graph, best: int | float) -> int | float:
+    """The girth of g when it is below ``best``, else ``best``.
 
     Every cycle lies in the 2-core, so vertices of degree at most one are
     peeled first with a stack, in O(n+m); a forest peels away completely
-    and returns ACYCLIC without any search.  On what is left, BFS from
-    every 2-core vertex, ignoring peeled neighbors, and record the shortest
-    cycle through the root.  A BFS is cut off once it can no longer find a
-    cycle shorter than the best one seen, so girth-3 and girth-4 graphs
-    resolve quickly.
+    without any search.  On what is left, BFS from every 2-core vertex,
+    ignoring peeled neighbors, and record the shortest cycle through the
+    root.  A BFS is cut off once it can no longer find a cycle shorter than
+    ``best``, the shortest seen so far, so girth-3 and girth-4 graphs
+    resolve quickly and a bounded ``best`` bounds every search.
     """
     n = g.n
     adj = g.adj
@@ -220,8 +219,7 @@ def girth(g: Graph) -> int | float:
                     core[v] = 0
                     stack.append(v)
     if not any(core):
-        return ACYCLIC
-    best: int | float = ACYCLIC
+        return best
     dist = [-1] * n
     parent = [-1] * n
     for root in range(n):
@@ -255,26 +253,3 @@ def girth(g: Graph) -> int | float:
             parent[u] = -1
     return best
 
-
-def girth_at_least_five(g: Graph) -> bool:
-    """Exact test for girth >= 5: no triangle and no 4-cycle.  Scanned once per graph, then cached on ``g``."""
-    return g.girth_at_least_five
-
-
-def _scan_girth_at_least_five(g: Graph) -> bool:
-    """Count paths of length two: a repeated neighbor pair is a 4-cycle, an
-    adjacent pair with a common neighbor is a triangle.  O(sum of squared
-    degrees), much faster than a full girth computation on sparse graphs.
-    """
-    pair_seen: set[tuple[int, int]] = set()
-    nbr = g.neighbor_sets
-    for u in range(g.n):
-        nbrs = g.adj[u]
-        for i, v in enumerate(nbrs):
-            for w in nbrs[i + 1:]:
-                if w in nbr[v]:
-                    return False  # triangle v-u-w with edge v-w
-                if (v, w) in pair_seen:
-                    return False  # two distinct midpoints: 4-cycle
-                pair_seen.add((v, w))
-    return True

@@ -165,10 +165,10 @@ def test_girth5_cell_delta_follows_epsilon():
 
 
 def test_girth5_scan_runs_once_per_instance(monkeypatch):
-    # every girth5 cell asks girth_at_least_five; the answer is cached on the graph, so one scan per instance
+    # every girth5 cell asks girth_at_least_five; the answer is cached on the graph, so one search per instance
     scans = []
-    scan = graphs_mod._scan_girth_at_least_five
-    monkeypatch.setattr(graphs_mod, "_scan_girth_at_least_five", lambda g: scans.append(g.n) or scan(g))
+    search = graphs_mod._shortest_cycle
+    monkeypatch.setattr(graphs_mod, "_shortest_cycle", lambda g, best: scans.append(g.n) or search(g, best))
     config = BenchConfig(
         instances=(GeneratorSpec("random_girth5", 200, p=0.03, rng_seed=4),),
         rhos=(Fraction(1, 2), Fraction(1, 4)),

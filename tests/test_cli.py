@@ -59,6 +59,42 @@ def test_bad_generator_size_is_an_input_error(capsys, tmp_path):
     assert (code, out, err) == (1, "", "error: instance path:-5: path needs at least one vertex\n")
 
 
+def test_cli_numbers_read_like_bench_numbers(capsys, tmp_path, petersen_file):
+    # gen --n/--p/--seed and a bench generator instance share one reader: exit 1, the same line, no usage block
+    out_path, cfg_path = tmp_path / "g.txt", tmp_path / "bench.json"
+    flags = {"n": "20", "p": "0.1", "seed": "3"}
+    for key, value, message in (
+        ("n", "2.5", "n must be an integer, got 2.5"),
+        ("p", "abc", "p must be a number, got abc"),
+        ("seed", "x", "seed must be an integer, got x"),
+    ):
+        entry = {**flags, key: value}
+        argv = [arg for name, text in entry.items() for arg in (f"--{name}", text)]
+        code, out, err = run_cli(capsys, "gen", "--family", "random_girth5", *argv, "-o", str(out_path))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not out_path.exists()
+        cfg_path.write_text(json.dumps({"instances": [{"family": "random_girth5", **entry}], "rhos": ["1/2"]}))
+        code, out, err = run_cli(capsys, "bench", "--config", str(cfg_path), "-o", str(tmp_path / "o.csv"))
+        assert (code, out, err) == (1, "", f"error: {cfg_path}: {message}\n")
+    for argv, message in (
+        (["construct", "--method", "abw", "--rng-seed", "1.5"], "rng_seed must be an integer, got 1.5"),
+        (["solve", "--limit", "2.5"], "limit must be an integer, got 2.5"),
+    ):
+        code, out, err = run_cli(capsys, *argv, "-g", str(petersen_file), "--rho", "1/2")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_bench_path_instance_error_names_the_file(capsys, tmp_path):
+    # a malformed instance file is reported as every file command reports it: the path, then the line
+    graph_path = tmp_path / "loop.txt"
+    graph_path.write_text("3 2\n0 1\n1 1\n")
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps({"instances": [{"path": "loop.txt"}], "rhos": ["1/2"], "methods": ["v2"]}))
+    code, out, err = run_cli(capsys, "bench", "--config", str(cfg_path), "-o", str(tmp_path / "o.csv"))
+    assert (code, out, err) == (1, "", f"error: {graph_path}: line 3: self-loop at vertex 1\n")
+    assert run_cli(capsys, "girth", "-g", str(graph_path)) == (1, "", err)
+
+
 def test_girth_acyclic(capsys, tmp_path):
     path = tmp_path / "t.txt"
     main(["gen", "--family", "random_tree", "--n", "12", "--seed", "3", "-o", str(path)])

@@ -147,6 +147,9 @@ def test_default_round_count_minimal():
             assert delta**k * n + 1.0 / (1.0 + delta) < 1.0
             if k > 1:
                 assert delta ** (k - 1) * n + 1.0 / (1.0 + delta) >= 1.0
+    # the domain is check_delta's (0, 1/2]: a delta near 1, which would count for seconds, is refused at once
+    with pytest.raises(PreconditionError, match=r"delta must lie in \(0, 1/2\]"):
+        default_round_count(10**6, 0.999999)
 
 
 # ---------------------------------------------------------------- greedy kernel

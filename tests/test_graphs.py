@@ -21,6 +21,7 @@ from dynmono import (
     petersen,
     serialize_graph,
 )
+from dynmono import graphs as graphs_mod
 from instances import gnp
 from oracles import girth_by_enumeration
 
@@ -54,6 +55,8 @@ def test_parse_comments_and_blanks():
         ("2 2\n0 1\n", "expected 2 edges, found 1"),
         ("", "missing 'n m' header"),
         ("2 1\n0 1 2\n", "line 2"),
+        ("3 3\n0 1\n1 2\n2 1", "line 4: duplicate edge"),
+        ("3 1\n0 0\n0 1\n1 2\n", "line 2: self-loop"),  # the bad edge comes before the surplus lines
     ],
 )
 def test_parse_errors_carry_line_numbers(text, fragment):
@@ -92,6 +95,10 @@ def test_girth_classics():
     assert girth(generate(GeneratorSpec("path", 6))) == ACYCLIC
     assert girth(generate(GeneratorSpec("random_tree", 30, rng_seed=2))) == ACYCLIC
     assert girth(from_edges(0, [])) == ACYCLIC
+    assert not girth_at_least_five(generate(GeneratorSpec("cycle", 4)))
+    assert girth_at_least_five(generate(GeneratorSpec("cycle", 5)))
+    assert girth_at_least_five(petersen())
+    assert not girth_at_least_five(generate(GeneratorSpec("complete", 60)))
 
 
 def test_girth_against_enumeration():
@@ -105,7 +112,15 @@ def test_girth_against_enumeration():
             assert got == ACYCLIC
         else:
             assert got == expected
-        assert girth_at_least_five(g) == (got >= 5)
+        # checked against the oracle, not against girth: the two share one search
+        assert girth_at_least_five(g) == (expected is None or expected >= 5)
+
+
+def test_girth_search_stops_at_its_cut_off():
+    # girth_at_least_five is the girth search started at best = 5: it returns 5 without looking for longer cycles
+    assert graphs_mod._shortest_cycle(generate(GeneratorSpec("cycle", 7)), 5) == 5
+    assert graphs_mod._shortest_cycle(generate(GeneratorSpec("path", 7)), 5) == 5
+    assert graphs_mod._shortest_cycle(generate(GeneratorSpec("cycle", 4)), 5) == 4
 
 
 def test_girth_acyclic_inputs():
@@ -188,7 +203,7 @@ def test_degree_after_vertex_removal():
         v = rng.randrange(n)
         sub, idmap = induced_subgraph(g, [u for u in range(n) if u != v])
         for old, new in idmap.items():
-            drop = 1 if v in g.neighbor_sets[old] else 0
+            drop = 1 if v in g.adj[old] else 0
             assert sub.degrees[new] == g.degrees[old] - drop
 
 
