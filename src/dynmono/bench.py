@@ -2,10 +2,11 @@
 
 Each (instance, rho, method, trial) cell runs one construction with an RNG
 seed derived by a stable hash of (base, family, n, rho, method, trial), so
-adding cells to a config never perturbs existing cells.  Deterministic
-methods (tree, v2) run a single trial per cell.  Every emitted row is
-re-verified by an independent hull call; an invalid construction aborts the
-run.  Cells whose preconditions fail are recorded as skipped, not errors.
+adding cells to a config never perturbs existing cells.  A method whose seed
+record has no ``rng_seed`` drew no random bits: its cell stops after one
+trial.  Every emitted row is re-verified by an independent hull call; an
+invalid construction aborts the run.  Cells whose preconditions fail are
+recorded as skipped, not errors.
 ``load_config`` checks every field once: a method entry becomes its girth5
 options, a ``path`` instance a Path resolved against the config's directory.
 """
@@ -47,8 +48,6 @@ CSV_COLUMNS = [
     "fallback",
     "runtime_ms",
 ]
-
-DETERMINISTIC_METHODS = ("tree", "v2")
 
 CONST_583 = 2.0 * math.sqrt(2.0) + 3.0
 CONST_492 = 4.92
@@ -109,7 +108,7 @@ def _parse_method(entry) -> MethodSpec:
 def load_config(path: str | Path) -> BenchConfig:
     """Read a JSON bench config; see README for the schema."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = from_file(path, "config", json.loads)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -150,10 +149,9 @@ def run_bench(config: BenchConfig) -> BenchResult:
             bound_abw = float(abw_bound(g, phi))
             rho_n = float(rho) * g.n
             for method in config.methods:
-                trials = 1 if method.name in DETERMINISTIC_METHODS else config.trials
                 cell_epsilon = method.options.get("epsilon") or config.epsilon  # a checked epsilon is above 0
                 options = {**method.options, "epsilon": cell_epsilon}
-                for trial in range(trials):
+                for trial in range(config.trials):
                     rng_seed = stable_seed(
                         config.rng_seed_base, family, g.n, str(rho), method.name, trial
                     )
@@ -192,6 +190,8 @@ def run_bench(config: BenchConfig) -> BenchResult:
                     result.rows.append(row)
                     if rho_n > 0:
                         ratios.setdefault(method.name, []).append(ms.size / rho_n)
+                    if "rng_seed" not in ms.params:  # no random bits drawn: every further trial repeats this one
+                        break
     for name, values in sorted(ratios.items()):
         result.summary[name] = {
             "cells": len(values),

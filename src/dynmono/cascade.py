@@ -77,10 +77,10 @@ def from_input(convert: Callable[[object], T], value: object) -> T:
 
 
 def from_file(path: str | Path, what: str, parse: Callable[[str], T]) -> T:
-    """Read a text file and parse it; a failed read or an InputFormatError from ``parse`` names ``path``."""
+    """Read a UTF-8 text file and parse it; a failed read or decode, or a ``parse`` InputFormatError, names ``path``."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"cannot read {what} file {path}: {exc}") from None
     try:
         return parse(text)

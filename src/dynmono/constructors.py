@@ -107,9 +107,9 @@ def girth5_options(values: dict) -> dict:
     }
 
 
-def growth_constant(delta: float) -> float:
-    """Seed-size inflation factor (1+d)^2 + (1+d)/(1-d)^2; equals 2 at d = 0."""
-    return (1.0 + delta) ** 2 + (1.0 + delta) / (1.0 - delta) ** 2
+def growth_constant(delta: Fraction | float) -> Fraction | float:
+    """Seed-size inflation factor (1+d)^2 + (1+d)/(1-d)^2; equals 2 at d = 0, exact for a Fraction d."""
+    return (1 + delta) ** 2 + (1 + delta) / (1 - delta) ** 2
 
 
 def rho_upper_bound(delta: float) -> float:
@@ -214,7 +214,8 @@ class Girth5Trace:
 
 @dataclass(frozen=True)
 class MonopolySeed:
-    """A constructed seed with provenance; ``verified`` is set only after a hull check."""
+    """A constructed seed with provenance; ``verified`` is set only after a hull check (``_verified``), and
+    ``params`` records ``rng_seed`` exactly when the method draws random bits (abw, girth5)."""
 
     method: str
     seed: tuple[int, ...]
@@ -239,9 +240,12 @@ class MonopolySeed:
         return out
 
 
-def _verify(g: Graph, phi: Thresholds, seed: Iterable[int], method: str) -> None:
+def _verified(g: Graph, phi: Thresholds, method: str, seed: tuple[int, ...], params: dict,
+              trace: Girth5Trace | None = None) -> MonopolySeed:
+    """The seed's record, marked verified once a fresh Cascade from the seed covers the graph."""
     if Cascade(g, phi).add(seed) < g.n:
         raise AssertionError(f"{method} produced a non-monopoly seed")
+    return MonopolySeed(method=method, seed=seed, params=params, verified=True, trace=trace)
 
 
 def abw_seed_from_permutation(g: Graph, phi: Thresholds, order: Iterable[int]) -> tuple[int, ...]:
@@ -272,9 +276,7 @@ def abw_construct(g: Graph, phi: Thresholds, rng_seed: int = 0) -> MonopolySeed:
     """Random-permutation seed; expected size equals exact.abw_bound(g, phi)."""
     order = list(range(g.n))
     random.Random(rng_seed).shuffle(order)
-    seed = abw_seed_from_permutation(g, phi, order)
-    _verify(g, phi, seed, "abw")
-    return MonopolySeed(method="abw", seed=seed, params={"rng_seed": rng_seed}, verified=True)
+    return _verified(g, phi, "abw", abw_seed_from_permutation(g, phi, order), {"rng_seed": rng_seed})
 
 
 def greedy_kernel(
@@ -383,8 +385,8 @@ def girth5_construct(
     If the rounds are exhausted before the hull covers the graph, all
     remaining inactive vertices are added (``fallback_used``).  When
     ``max_restarts`` > 0 and the seed exceeds the first-moment size target
-    (1+delta) * ((1+delta) + 1/(1-delta)^2) * rho * n, the sampling phase is
-    re-run on a fresh stream, keeping the best attempt.
+    growth_constant(delta) * rho * n, the sampling phase is re-run on a
+    fresh stream, keeping the best attempt.
 
     The theoretical validity flags (delta within cap, rho within the proven
     range, growth constant within 2+epsilon) are reported in ``params``;
@@ -409,7 +411,7 @@ def girth5_construct(
     fd = float(d)
     p1 = float(r) / (1.0 - fd)
     rounds_cap = default_round_count(g.n, fd) if options["max_rounds"] is None else options["max_rounds"]
-    size_target = (1 + d) * ((1 + d) + 1 / (1 - d) ** 2) * r * g.n
+    size_target = growth_constant(d) * r * g.n
     best: tuple[tuple[int, ...], tuple[RoundRecord, ...], bool] | None = None
     for restarts in range(max_restarts + 1):  # max_restarts >= 0, so restarts is bound after the loop
         rng = random.Random(stable_seed(rng_seed, "attempt", restarts))
@@ -420,7 +422,6 @@ def girth5_construct(
             break
     assert best is not None
     seed, records, fallback = best
-    _verify(g, phi, seed, "girth5")
     trace = Girth5Trace(
         kernel=kernel,
         kernel_hull_size=base_size,
@@ -449,7 +450,7 @@ def girth5_construct(
             ),
         },
     }
-    return MonopolySeed(method="girth5", seed=seed, params=params, verified=True, trace=trace)
+    return _verified(g, phi, "girth5", seed, params, trace)
 
 
 def tree_construct(t: Graph, rho: Fraction | int | str | float) -> MonopolySeed:
@@ -550,8 +551,7 @@ def tree_construct(t: Graph, rho: Fraction | int | str | float) -> MonopolySeed:
     seed_t = tuple(sorted(seed))
     if len(seed_t) * q > t.n * p:
         raise AssertionError("tree seed exceeded floor(rho*n)")
-    _verify(t, proportional_thresholds(t, r), seed_t, "tree")
-    return MonopolySeed(method="tree", seed=seed_t, params={"rho": str(r)}, verified=True)
+    return _verified(t, proportional_thresholds(t, r), "tree", seed_t, {"rho": str(r)})
 
 
 def v2_baseline(g: Graph, rho: Fraction | int | str | float) -> MonopolySeed:
@@ -564,9 +564,7 @@ def v2_baseline(g: Graph, rho: Fraction | int | str | float) -> MonopolySeed:
     if g.n < 1 or not is_connected(g):
         raise PreconditionError("high-degree baseline requires a connected, nonempty graph")
     part = degree_partition(g, r)
-    seed = part.high if part.high else (0,)
-    _verify(g, proportional_thresholds(g, r), seed, "v2")
-    return MonopolySeed(method="v2", seed=tuple(seed), params={"rho": str(r)}, verified=True)
+    return _verified(g, proportional_thresholds(g, r), "v2", part.high or (0,), {"rho": str(r)})
 
 
 # Method name -> builder(g, rho, rng_seed, **options), the one dispatch of the CLI and the bench.

@@ -11,31 +11,26 @@ from .cascade import to_number
 from .errors import PreconditionError
 from .graphs import Graph, connected_components, from_edges, induced_subgraph
 
-RANDOM_FAMILIES = ("random_tree", "random_girth5")
-
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """A named instance family with its parameters.
+    """A named instance family and the parameters its FAMILIES entry reads; an unknown family is refused here.
 
-    ``n`` is the vertex count, except for stars where it is the leaf count
-    (star(4) is the 5-vertex star) and petersen where it is ignored.
-    """
+    ``n`` is the vertex count, except for stars where it is the leaf count (star(4) is the 5-vertex star)."""
 
     family: str
     n: int | None = None
     p: float | None = None
     rng_seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.family not in FAMILIES:
+            raise PreconditionError(f"unknown family {self.family!r}; known: {', '.join(FAMILIES)}")
+
     def label(self) -> str:
-        parts = [self.family]
-        if self.family != "petersen":
-            parts.append(str(self.n))
-        if self.family == "random_girth5":
-            parts.append(str(self.p))
-        if self.family in RANDOM_FAMILIES:
-            parts.append(str(self.rng_seed))
-        return ":".join(parts)
+        """The family and the fields it reads, joined by colons: the bench's ``family`` column and seed key."""
+        _, *fields = FAMILIES[self.family]
+        return ":".join([self.family, *(str(getattr(self, f)) for f in fields)])
 
     @classmethod
     def read(cls, entry: dict) -> GeneratorSpec:
@@ -188,26 +183,22 @@ def random_girth5(n: int, p: float | None, rng_seed: int = 0) -> Graph:
     return sub
 
 
-def _n(spec: GeneratorSpec) -> int:
-    if spec.n is None:
-        raise PreconditionError(f"family {spec.family!r} requires n")
-    return spec.n
-
-
-# Family name -> builder(spec), in the order of the CLI's --family choices.
-FAMILIES = {
-    "star": lambda spec: star(_n(spec)),
-    "path": lambda spec: path(_n(spec)),
-    "cycle": lambda spec: cycle(_n(spec)),
-    "complete": lambda spec: complete(_n(spec)),
-    "petersen": lambda spec: petersen(),
-    "random_tree": lambda spec: random_tree(_n(spec), spec.rng_seed),
-    "random_girth5": lambda spec: random_girth5(_n(spec), spec.p, spec.rng_seed),
+# Family name -> (builder, *the GeneratorSpec fields it takes, in order): what generate calls and label names.
+FAMILIES: dict[str, tuple] = {
+    "star": (star, "n"),
+    "path": (path, "n"),
+    "cycle": (cycle, "n"),
+    "complete": (complete, "n"),
+    "petersen": (petersen,),
+    "random_tree": (random_tree, "n", "rng_seed"),
+    "random_girth5": (random_girth5, "n", "p", "rng_seed"),
 }
 
 
 def generate(spec: GeneratorSpec) -> Graph:
     """Materialize a GeneratorSpec.  Deterministic given the spec (seed included)."""
-    if spec.family not in FAMILIES:
-        raise PreconditionError(f"unknown family {spec.family!r}; known: {', '.join(FAMILIES)}")
-    return FAMILIES[spec.family](spec)
+    build, *fields = FAMILIES[spec.family]
+    if "n" in fields and spec.n is None:
+        raise PreconditionError(f"family {spec.family!r} requires n")
+    build = globals()[build.__name__]  # looked up at call time, so a wrapper on the module's name sees the call
+    return build(*(getattr(spec, f) for f in fields))

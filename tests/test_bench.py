@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -50,8 +51,10 @@ def test_load_config_errors(tmp_path):
         load_config(_write_config(tmp_path, {"rhos": ["5/3"]}))
     with pytest.raises(InputFormatError):
         load_config(_write_config(tmp_path, {"trials": 0}))
-    # a bad girth5 option is a config error at load, not a skipped cell at run time
+    # a bad girth5 option or an unknown family is an error at load that names the config, not a failed cell
     for field, payload in (
+        ("unknown family 'bogus'; known: star, path, ", {"instances": ["petersen", "bogus"]}),
+        ("unknown family 'bogus'; known: star, path, ", {"instances": [{"family": "bogus", "n": 5}]}),
         ("delta", {"methods": [{"method": "girth5", "delta": "abc"}]}),
         ("delta", {"methods": [{"method": "girth5", "delta": "3/2"}]}),
         ("delta", {"methods": [{"method": "girth5", "delta": 0}]}),
@@ -69,8 +72,9 @@ def test_load_config_errors(tmp_path):
         ("allow_low_girth", {"methods": [{"method": "girth5", "allow_low_girth": "yes"}]}),
         ("allow_low_girth", {"methods": [{"method": "girth5", "allow_low_girth": 1}]}),
     ):
-        with pytest.raises(InputFormatError, match=field):
-            load_config(_write_config(tmp_path, payload))
+        path = _write_config(tmp_path, payload)
+        with pytest.raises(InputFormatError, match=f"^{re.escape(str(path))}: .*{field}"):
+            load_config(path)
 
 
 NUMBER_FIELDS = {"trials": "an integer", "rng_seed_base": "an integer", "epsilon": "a number"}
@@ -108,7 +112,7 @@ def test_load_config_rejects_non_integer_entry_field(tmp_path, key, value):
 
 
 def test_petersen_row_count():
-    # deterministic methods emit one row per cell, randomized ones one per trial
+    # a method whose record has no rng_seed (v2) emits one row per cell, randomized ones one per trial
     config = BenchConfig(
         instances=(GeneratorSpec("petersen"),),
         rhos=(Fraction(1, 3),),

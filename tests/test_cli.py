@@ -95,6 +95,24 @@ def test_bench_path_instance_error_names_the_file(capsys, tmp_path):
     assert run_cli(capsys, "girth", "-g", str(graph_path)) == (1, "", err)
 
 
+@pytest.mark.parametrize("what", ["graph", "seed", "config"])
+def test_undecodable_file_is_an_input_error(capsys, tmp_path, petersen_file, what):
+    # a file that is not UTF-8 gets the one line a missing file gets, never a traceback
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff 1\n")
+    argv = {
+        "graph": ["girth", "-g", str(bad)],
+        "seed": ["hull", "-g", str(petersen_file), "--rho", "1/2", "--seed-set", str(bad)],
+        "config": ["bench", "--config", str(bad), "-o", str(tmp_path / "o.csv")],
+    }[what]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {what} file {bad}: ") and err.count("\n") == 1
+    bad.unlink()  # a missing file reads the same way
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "") and err.startswith(f"error: cannot read {what} file {bad}: ")
+
+
 def test_girth_acyclic(capsys, tmp_path):
     path = tmp_path / "t.txt"
     main(["gen", "--family", "random_tree", "--n", "12", "--seed", "3", "-o", str(path)])

@@ -18,6 +18,7 @@ from dynmono import (
     random_tree,
     serialize_graph,
 )
+from dynmono import generators
 from oracles import random_girth5_reference
 
 
@@ -55,6 +56,14 @@ def test_generate_validation():
         generate(GeneratorSpec("random_girth5", 10, p=1.5))
     with pytest.raises(PreconditionError):
         generate(GeneratorSpec("star", 0))
+
+
+def test_generate_calls_builders_by_name(monkeypatch):
+    # a wrapper on a builder's module name (perfbench's tracer) sees the calls generate makes
+    calls = []
+    monkeypatch.setattr(generators, "random_tree", lambda n, rng_seed: calls.append((n, rng_seed)) or generators.path(n))
+    assert generate(GeneratorSpec("random_tree", 6, rng_seed=2)).degrees == (1, 2, 2, 2, 2, 1)
+    assert calls == [(6, 2)]
 
 
 def test_prufer_decode_degree_property():
@@ -122,7 +131,19 @@ def test_random_girth5_sweep_instances_pinned():
 
 
 def test_spec_labels():
-    assert GeneratorSpec("petersen").label() == "petersen"
-    assert GeneratorSpec("star", 4).label() == "star:4"
-    assert GeneratorSpec("random_tree", 9, rng_seed=7).label() == "random_tree:9:7"
-    assert GeneratorSpec("random_girth5", 50, p=0.05, rng_seed=3).label() == "random_girth5:50:0.05:3"
+    # the label is the bench's family column and part of every cell's seed key: it names the fields a family reads
+    for spec, label in (
+        (GeneratorSpec("petersen"), "petersen"),
+        (GeneratorSpec("petersen", 3, p=0.1, rng_seed=4), "petersen"),
+        (GeneratorSpec("star", 4), "star:4"),
+        (GeneratorSpec("star"), "star:None"),
+        (GeneratorSpec("path", 5, p=0.3, rng_seed=9), "path:5"),
+        (GeneratorSpec("cycle", 7), "cycle:7"),
+        (GeneratorSpec("complete", None), "complete:None"),
+        (GeneratorSpec("random_tree", 9, rng_seed=7), "random_tree:9:7"),
+        (GeneratorSpec("random_tree", None), "random_tree:None:0"),
+        (GeneratorSpec("random_girth5", 50, p=0.05, rng_seed=3), "random_girth5:50:0.05:3"),
+        (GeneratorSpec("random_girth5", 50), "random_girth5:50:None:0"),
+        (GeneratorSpec("random_girth5", None, None, 2), "random_girth5:None:None:2"),
+    ):
+        assert spec.label() == label
