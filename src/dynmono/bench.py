@@ -4,11 +4,14 @@ Each (instance, rho, method, trial) cell runs one construction with an RNG
 seed derived by a stable hash of (base, family, n, rho, method, trial), so
 adding cells to a config never perturbs existing cells.  A method whose seed
 record has no ``rng_seed`` drew no random bits: its cell stops after one
+trial.  The trials of a girth5 cell share one greedy kernel per (graph, rho,
+delta), cached by ``girth5_construct``; only the sampling rounds draw per
 trial.  Every emitted row is re-verified by an independent hull call; an
 invalid construction aborts the run.  Cells whose preconditions fail are
 recorded as skipped, not errors.
-``load_config`` checks every field once: a method entry becomes its girth5
-options, a ``path`` instance a Path resolved against the config's directory.
+``load_config`` checks every field once: ``instances``, ``rhos`` and ``methods``
+must be lists, a method entry becomes its girth5 options, a ``path`` instance a
+Path resolved against the config's directory.
 """
 
 from __future__ import annotations
@@ -105,6 +108,13 @@ def _parse_method(entry) -> MethodSpec:
     return MethodSpec(name, girth5_options(extra))  # for every method: a bad value is a config error at load
 
 
+def _list(raw: dict, name: str) -> list:
+    value = raw.get(name, [])
+    if not isinstance(value, list):
+        raise InputFormatError(f"{name} must be a list, got {value!r}")
+    return value
+
+
 def load_config(path: str | Path) -> BenchConfig:
     """Read a JSON bench config; see README for the schema."""
     try:
@@ -115,9 +125,9 @@ def load_config(path: str | Path) -> BenchConfig:
         raise InputFormatError(f"{path}: config must be a JSON object")
     try:  # a ValueError here is a bad field (InputFormatError and PreconditionError are ValueErrors)
         config = BenchConfig(
-            instances=tuple(_parse_instance(e, Path(path).parent) for e in raw.get("instances", [])),
-            rhos=tuple(parse_rho(r) for r in raw.get("rhos", [])),
-            methods=tuple(_parse_method(e) for e in raw.get("methods", [])),
+            instances=tuple(_parse_instance(e, Path(path).parent) for e in _list(raw, "instances")),
+            rhos=tuple(parse_rho(r) for r in _list(raw, "rhos")),
+            methods=tuple(_parse_method(e) for e in _list(raw, "methods")),
             trials=to_number(raw.get("trials", 1), "trials"),
             rng_seed_base=to_number(raw.get("rng_seed_base", 0), "rng_seed_base"),
             epsilon=girth5_options({"epsilon": raw.get("epsilon")})["epsilon"],

@@ -27,7 +27,9 @@ class Graph:
     Invariants (enforced by :func:`from_edges`, which :func:`parse_graph` feeds):
     no self-loops, no duplicate neighbors, symmetric adjacency, and the edge
     count equals half the sum of the degrees.  Instances are immutable and
-    safe to share read-only across concurrent workers.
+    safe to share read-only across concurrent workers.  Facts computed from
+    the adjacency are cached on first use: ``degrees``, ``m``,
+    ``max_degree``, ``girth_at_least_five`` and ``is_connected``.
     """
 
     n: int
@@ -48,6 +50,10 @@ class Graph:
     @cached_property
     def girth_at_least_five(self) -> bool:
         return _shortest_cycle(self, 5) >= 5
+
+    @cached_property
+    def is_connected(self) -> bool:
+        return len(connected_components(self)) <= 1
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges (u, v) with u < v in ascending lexicographic order."""
@@ -156,7 +162,8 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) <= 1
+    """True iff g has at most one connected component; one search per graph, cached on ``g``."""
+    return g.is_connected
 
 
 def is_tree(g: Graph) -> bool:

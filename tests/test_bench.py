@@ -9,6 +9,7 @@ import pytest
 from dynmono import InputFormatError, load_config, run_bench, serialize_graph, write_csv
 from dynmono.bench import CSV_COLUMNS, MethodSpec, BenchConfig
 from dynmono import GeneratorSpec, generate, girth5_params
+from dynmono import constructors as constructors_mod
 from dynmono import graphs as graphs_mod
 
 
@@ -71,6 +72,12 @@ def test_load_config_errors(tmp_path):
         ("allow_low_girth", {"methods": [{"method": "girth5", "allow_low_girth": "false"}]}),
         ("allow_low_girth", {"methods": [{"method": "girth5", "allow_low_girth": "yes"}]}),
         ("allow_low_girth", {"methods": [{"method": "girth5", "allow_low_girth": 1}]}),
+        # a string or an object where a list belongs is refused whole, not read one character or key at a time
+        ("instances must be a list", {"instances": "petersen"}),
+        ("rhos must be a list", {"rhos": "1/2"}),
+        ("methods must be a list", {"methods": "v2"}),
+        ("methods must be a list", {"methods": {"method": "v2"}}),
+        ("rhos must be a list", {"rhos": None}),
     ):
         path = _write_config(tmp_path, payload)
         with pytest.raises(InputFormatError, match=f"^{re.escape(str(path))}: .*{field}"):
@@ -169,10 +176,15 @@ def test_girth5_cell_delta_follows_epsilon():
 
 
 def test_girth5_scan_runs_once_per_instance(monkeypatch):
-    # every girth5 cell asks girth_at_least_five; the answer is cached on the graph, so one search per instance
-    scans = []
+    # every girth5 cell asks girth_at_least_five and is_connected, and every trial wants the greedy kernel:
+    # the answers are cached on the graph, so one search each per instance and one kernel per (instance, rho)
+    scans, searches, kernels = [], [], []
     search = graphs_mod._shortest_cycle
     monkeypatch.setattr(graphs_mod, "_shortest_cycle", lambda g, best: scans.append(g.n) or search(g, best))
+    components = graphs_mod.connected_components
+    monkeypatch.setattr(graphs_mod, "connected_components", lambda g: searches.append(g.n) or components(g))
+    kernel = constructors_mod.greedy_kernel
+    monkeypatch.setattr(constructors_mod, "greedy_kernel", lambda g, r, d: kernels.append(r) or kernel(g, r, d))
     config = BenchConfig(
         instances=(GeneratorSpec("random_girth5", 200, p=0.03, rng_seed=4),),
         rhos=(Fraction(1, 2), Fraction(1, 4)),
@@ -182,6 +194,8 @@ def test_girth5_scan_runs_once_per_instance(monkeypatch):
     result = run_bench(config)
     assert len(result.rows) == 6 and not result.skipped
     assert len(scans) == 1
+    assert len(searches) == 1
+    assert kernels == [Fraction(1, 2), Fraction(1, 4)]
 
 
 def test_skipped_cells_record_reason():

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
 import random
 import statistics
+import weakref
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
+from dynmono import constructors as constructors_mod
 from dynmono import (
     DELTA_CAP,
     GeneratorSpec,
@@ -389,6 +392,42 @@ def test_girth5_each_attempt_starts_from_the_kernel_hull():
     assert ms.trace.restarts == 2 and ms.trace.rounds[0].added
     record = json.dumps(ms.to_json_dict(), sort_keys=True).encode("utf-8")
     assert hashlib.sha256(record).hexdigest() == "bb6aad305d9872a1b6cb3eaf00849335819ef3c049160170799e637f18bf5c91"
+
+
+def test_girth5_kernel_cache_matches_fresh_graphs(monkeypatch):
+    # the prefix is cached per (graph, rho, delta): interleaved calls on two live graphs must give the records
+    # of calls on fresh equal graphs, each made while no equal graph has a cache entry, so each of those misses
+    sources = [girth5_instance(70, 2.5, seed=55), girth5_instance(80, 2.5, seed=77)]
+    calls = [(i, rho, delta, s) for s in (1, 2) for delta in ("1/2", "1/5") for rho in ("1/3", "1/4") for i in (0, 1)]
+
+    def fresh(i):
+        g = from_edges(sources[i].n, sources[i].edges())
+        assert g not in constructors_mod._PREFIXES
+        return g
+
+    def run(graph, rho, delta, s):
+        return girth5_construct(graph, rho, delta=delta, rng_seed=s, max_restarts=1)
+
+    expected = [run(fresh(i), rho, delta, s) for i, rho, delta, s in calls]
+    builds = []
+    kernel = constructors_mod.greedy_kernel
+    monkeypatch.setattr(constructors_mod, "greedy_kernel",
+                        lambda g, r, d: builds.append((g.n, r, d)) or kernel(g, r, d))
+    graphs = [fresh(0), fresh(1)]
+    got = [run(graphs[i], rho, delta, s) for i, rho, delta, s in calls]
+    assert got == expected
+    assert any(ms.trace.rounds for ms in got)  # the sampling rounds ran on the cached state, not only the kernel
+    assert len(builds) == len(set(builds)) == 8  # one kernel per (graph, rho, delta), each asked for twice
+
+
+def test_girth5_kernel_cache_drops_its_graph():
+    g = girth5_instance(60, 2.5, seed=91)  # no other test builds this graph, so no equal graph holds the entry
+    girth5_construct(g, "1/3", delta="1/2", rng_seed=1)
+    assert g in constructors_mod._PREFIXES
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
 
 
 def test_girth5_preconditions():
