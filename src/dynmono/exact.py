@@ -2,15 +2,21 @@
 
 The solver returns the least seed size and, among seeds of that size, the
 lexicographically least one.  It searches sizes upward and, within a size,
-runs a depth-first search in ``itertools.combinations`` order, each prefix
-carrying its own closed ``Cascade`` state.  Two sound rules cut the tree:
+runs a depth-first search in ``itertools.combinations`` order on an explicit
+stack, so a witness of any size fits; each prefix carries its own closed
+``Cascade`` state.  Three sound rules cut the tree, for a prefix with hull H
+and r picks still to make:
 
-- a vertex in the prefix's hull H is never picked: a seed holding one stays
-  a monopoly without it, so it is not minimum;
+- a vertex in H is never picked: a seed holding one stays a monopoly
+  without it, so it is not minimum;
 - a vertex u outside H still needs phi'(u) = phi(u) - count(u) neighbours
   activated before it, and an edge inside V - H serves only one endpoint, so
   the remaining picks must carry phi' summing to at least
-  sum(phi') - m(V - H); a prefix whose later ids cannot is dropped.
+  sum(phi') - m(V - H); a prefix whose later ids cannot is dropped;
+- if phi'(u) > r for every u outside H, the prefix is dropped: phi'(u) is at
+  most u's neighbours outside H, so r picks T leave some outside vertex
+  unpicked, and the first one of those to activate would see at most
+  count(u) + r < phi(u) active neighbours.
 
 ``cascades`` counts the root state plus one per extended prefix.
 """
@@ -55,38 +61,62 @@ def min_monopoly_exact(
         raise SizeLimitError(
             f"exact search on {g.n} vertices exceeds the limit {limit}; pass force=True to override"
         )
-    n, degrees = g.n, g.degrees
+    n = g.n
+    slack = [d - t for t, d in zip(phi, g.degrees)]
     root = Cascade(g, phi)
     root.add(())
     cascades = 1
 
-    def search(state: Cascade, last: int, r: int) -> tuple[int, ...] | None:
-        nonlocal cascades
+    def viable(state: Cascade, last: int, r: int) -> bool:
+        """False when the rules above prove that no r picks after id ``last`` complete ``state``."""
         active, count = state.active, state.count
         if r == 0:
-            return () if len(state.rounds) == n else None
-        # the bound above, doubled: 2 m(V - H) is the sum of deg(u) - count(u) over u outside H
-        twice_need, later = 0, []
+            return len(state.rounds) == n
+        # the edge bound, doubled: 2 m(V - H) is the sum of deg(u) - count(u) over u outside H,
+        # so twice the need is the sum of 2 phi'(u) - deg(u) + count(u) = phi'(u) - (deg(u) - phi(u));
+        # least is the smallest phi'(u) outside H, for the first-activation rule
+        twice_need, later, least = 0, [], n
         for u in range(n):
             if not active[u]:
-                twice_need += 2 * phi[u] - count[u] - degrees[u]
+                need = phi[u] - count[u]
+                twice_need += need - slack[u]
+                if need < least:
+                    least = need
                 if u > last:
-                    later.append(phi[u] - count[u])
+                    later.append(need)
+        if r < least or len(later) < r:
+            return False
         later.sort(reverse=True)
-        if len(later) < r or 2 * sum(later[:r]) < twice_need:
+        return 2 * sum(later[:r]) >= twice_need
+
+    def search(k: int) -> tuple[int, ...] | None:
+        """The lex-least monopoly of size k, or None: frames of (state, picks left, candidate ids, pick)."""
+        nonlocal cascades
+        if not viable(root, -1, k):
             return None
-        for c in range(last + 1, n - r + 1):
-            if not active[c]:
+        if k == 0:
+            return ()
+        stack = [(root, k, iter(range(n - k + 1)), -1)]
+        while stack:
+            state, r, candidates, _ = stack[-1]
+            active = state.active
+            for c in candidates:
+                if active[c]:
+                    continue
                 child = state.fork()
                 child.add((c,))
                 cascades += 1
-                rest = search(child, c, r - 1)
-                if rest is not None:
-                    return (c, *rest)
+                if viable(child, c, r - 1):
+                    if r == 1:
+                        return (*(frame[3] for frame in stack[1:]), c)
+                    stack.append((child, r - 1, iter(range(c + 1, n - r + 2)), c))
+                    break
+            else:
+                stack.pop()
         return None
 
     for k in range(n + 1):
-        w = search(root, -1, k)
+        w = search(k)
         if w is not None:
             # subsets of size <= k, less the size-k ones after w in lex order (combinatorial number system)
             after = sum(math.comb(n - 1 - u, k - i) for i, u in enumerate(w))
@@ -104,7 +134,8 @@ def abw_bound(g: Graph, phi: Thresholds) -> Fraction:
     graphs this can be much weaker than degree-proportional bounds.
     """
     check_thresholds(g, phi)
-    total = Fraction(0)
+    # one Fraction per distinct degree: sum phi over the vertices sharing a denominator first
+    by_denominator: dict[int, int] = {}
     for t, d in zip(phi, g.degrees):
-        total += Fraction(t, d + 1)
-    return total
+        by_denominator[d + 1] = by_denominator.get(d + 1, 0) + t
+    return sum((Fraction(t, q) for q, t in by_denominator.items()), Fraction(0))

@@ -77,11 +77,12 @@ def test_exact_matches_exhaustive_reference():
             res = min_monopoly_exact(g, phi)
             assert (res.h, res.witness, res.nodes_explored) == min_monopoly_exhaustive_reference(g, phi)
 
-    # arbitrary thresholds in [0, deg], not only proportional ones
+    # arbitrary thresholds in [0, deg], not only proportional ones; on the dense graphs after the
+    # first 1000 a prefix can leave every outside vertex needing more neighbours than picks remain
     rng = random.Random(41)
     seen = set()
-    for _ in range(1000):
-        g = gnp(rng.randint(0, 13), rng.random(), rng)
+    for lo, p_min in [(0, 0.0)] * 1000 + [(10, 0.7)] * 40:
+        g = gnp(rng.randint(lo, 13), rng.uniform(p_min, 1.0), rng)
         phi = tuple(rng.randint(0, d) for d in g.degrees)
         res = min_monopoly_exact(g, phi)
         assert (res.h, res.witness, res.nodes_explored) == min_monopoly_exhaustive_reference(g, phi)
@@ -96,21 +97,38 @@ def test_exact_matches_exhaustive_reference():
 
 
 @pytest.mark.parametrize(
-    "family, n, h, witness, nodes_explored, max_cascades",
+    "family, n, rho, h, witness, nodes_explored, max_cascades",
     [
-        ("cycle", 18, 9, tuple(range(0, 18, 2)), 122284, 1000),
-        ("path", 18, 9, tuple(range(0, 18, 2)), 122284, 1000),
-        ("complete", 14, 13, tuple(range(13)), 16370, 10000),
-        ("petersen", None, 6, (0, 1, 3, 7, 8, 9), 693, None),
+        ("cycle", 18, 1, 9, tuple(range(0, 18, 2)), 122284, 1000),
+        ("path", 18, 1, 9, tuple(range(0, 18, 2)), 122284, 1000),
+        ("complete", 14, 1, 13, tuple(range(13)), 16370, 14),
+        ("complete", 18, "1/2", 9, tuple(range(9)), 106763, 20),
+        ("petersen", None, 1, 6, (0, 1, 3, 7, 8, 9), 693, None),
     ],
 )
-def test_exact_pinned_solves(family, n, h, witness, nodes_explored, max_cascades):
+def test_exact_pinned_solves(family, n, rho, h, witness, nodes_explored, max_cascades):
     # h, witness and nodes_explored recorded from the exhaustive solver; the
     # cascade ceilings fail a search that stops pruning
     g = generate(GeneratorSpec(family, n))
-    res = min_monopoly_exact(g, proportional_thresholds(g, 1))
+    res = min_monopoly_exact(g, proportional_thresholds(g, rho), force=True)
     assert (res.h, res.witness, res.nodes_explored) == (h, witness, nodes_explored)
     assert max_cascades is None or res.cascades <= max_cascades
+
+
+def test_deep_witness_needs_no_recursion():
+    # P400 at rho = 1 needs 200 picks, more than the lowered limit leaves frames for
+    import inspect
+    import sys
+
+    p400 = generate(GeneratorSpec("path", 400))
+    phi = proportional_thresholds(p400, 1)
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        res = min_monopoly_exact(p400, phi, force=True)
+    finally:
+        sys.setrecursionlimit(saved)
+    assert (res.h, res.witness) == (200, tuple(range(0, 400, 2)))
 
 
 def test_size_limit():
