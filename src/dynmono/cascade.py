@@ -20,6 +20,7 @@ the tight cases (rho * deg integral) are never corrupted by float rounding.
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -108,7 +109,9 @@ def check_thresholds(g: Graph, phi: Thresholds) -> None:
     """
     if len(phi) != g.n:
         raise PreconditionError(f"threshold profile has length {len(phi)}, graph has {g.n} vertices")
-    for u, (t, d) in enumerate(zip(phi, g.degrees)):
+    if set(map(type, phi)) <= {int} and min(phi, default=0) >= 0 and all(map(operator.le, phi, g.degrees)):
+        return
+    for u, (t, d) in enumerate(zip(phi, g.degrees)):  # name the first bad vertex
         if not isinstance(t, int) or isinstance(t, bool):
             raise PreconditionError(f"threshold of vertex {u} is not an integer: {t!r}")
         if t < 0:
@@ -152,7 +155,7 @@ class Cascade:
         self.active = bytearray(g.n)
         self.count = [0] * g.n
         self.rounds: dict[int, int] = {}
-        self._zero = [u for u, t in enumerate(phi) if t <= 0]
+        self._zero = [u for u, t in enumerate(phi) if t <= 0] if min(phi, default=1) <= 0 else None
 
     def fork(self) -> Cascade:
         """An independent copy of this state: adds to either leave the other as it was."""

@@ -116,68 +116,70 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+_GRAPH = (("-g", "--graph"), {"required": True})
+_RHO = (("--rho",), {"required": True})
+
+# name -> (handler, help, arguments as (flags, add_argument keywords) pairs), in usage order
+COMMANDS = {
+    "gen": (cmd_gen, "generate an instance and write its edge list", (
+        (("--family",), {"required": True, "choices": list(FAMILIES)}),
+        (("--n",), {"default": None, "help": "size (leaf count for star; ignored for petersen)"}),
+        (("--p",), {"default": None, "help": "edge probability (random_girth5 only)"}),
+        (("--seed",), {"default": 0, "help": "generator RNG seed"}),
+        (("-o", "--output"), {"required": True}),
+    )),
+    "girth": (cmd_girth, "print the girth (or 'acyclic')", (_GRAPH,)),
+    "hull": (cmd_hull, "run the cascade from a seed set", (
+        _GRAPH,
+        (("--rho",), {"required": True, "help": 'threshold parameter, "P/Q" or decimal'}),
+        (("--seed-set",), {"required": True, "help": "file of whitespace-separated vertex ids"}),
+        (("--json",), {"action": "store_true", "help": "emit the full cascade record as JSON"}),
+    )),
+    "verify": (cmd_verify, "check whether a seed set is a monopoly",
+               (_GRAPH, _RHO, (("--seed-set",), {"required": True}))),
+    "solve": (cmd_solve, "exact minimum monopoly by pruned search", (
+        _GRAPH, _RHO,
+        (("--limit",), {"default": DEFAULT_SIZE_LIMIT}),
+        (("--force",), {"action": "store_true", "help": "search even above the size limit"}),
+    )),
+    "construct": (cmd_construct, "build a monopoly seed", (
+        _GRAPH, _RHO,
+        (("--method",), {"required": True, "choices": list(BUILDERS)}),
+        (("--delta",), {"default": None, "help": 'girth5 slack in (0, 1/2], "P/Q" or decimal (default: see README)'}),
+        (("--epsilon",), {"default": None, "help": "girth5 size budget 2+epsilon"}),
+        (("--rng-seed",), {"default": 0}),
+        (("--max-rounds",), {"default": None}),
+        (("--max-restarts",), {"default": None}),
+        (("--allow-low-girth",), {"action": "store_true"}),
+    )),
+    "params": (cmd_params, "derive girth5 parameters from epsilon", ((("--epsilon",), {"required": True}),)),
+    "bench": (cmd_bench, "run a benchmark sweep from a JSON config", (
+        (("--config",), {"required": True}),
+        (("-o", "--output"), {"default": None, "help": "CSV path (overrides config)"}),
+    )),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every command's parser, or ``command``'s alone (what ``main`` builds to run it).
+
+    The one-command parser pins the subcommand metavar, so both print the same usage line; the full
+    parser leaves it unset, so its unknown-command error still names the argument "command"."""
     parser = _Parser(prog="dynmono", description="Dynamic monopolies for degree-proportional thresholds")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate an instance and write its edge list")
-    p.add_argument("--family", required=True, choices=list(FAMILIES))
-    p.add_argument("--n", default=None, help="size (leaf count for star; ignored for petersen)")
-    p.add_argument("--p", default=None, help="edge probability (random_girth5 only)")
-    p.add_argument("--seed", default=0, help="generator RNG seed")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("girth", help="print the girth (or 'acyclic')")
-    p.add_argument("-g", "--graph", required=True)
-    p.set_defaults(func=cmd_girth)
-
-    p = sub.add_parser("hull", help="run the cascade from a seed set")
-    p.add_argument("-g", "--graph", required=True)
-    p.add_argument("--rho", required=True, help='threshold parameter, "P/Q" or decimal')
-    p.add_argument("--seed-set", required=True, help="file of whitespace-separated vertex ids")
-    p.add_argument("--json", action="store_true", help="emit the full cascade record as JSON")
-    p.set_defaults(func=cmd_hull)
-
-    p = sub.add_parser("verify", help="check whether a seed set is a monopoly")
-    p.add_argument("-g", "--graph", required=True)
-    p.add_argument("--rho", required=True)
-    p.add_argument("--seed-set", required=True)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("solve", help="exact minimum monopoly by pruned search")
-    p.add_argument("-g", "--graph", required=True)
-    p.add_argument("--rho", required=True)
-    p.add_argument("--limit", default=DEFAULT_SIZE_LIMIT)
-    p.add_argument("--force", action="store_true", help="search even above the size limit")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("construct", help="build a monopoly seed")
-    p.add_argument("-g", "--graph", required=True)
-    p.add_argument("--rho", required=True)
-    p.add_argument("--method", required=True, choices=list(BUILDERS))
-    p.add_argument("--delta", default=None, help='girth5 slack in (0, 1/2], "P/Q" or decimal (default: see README)')
-    p.add_argument("--epsilon", default=None, help="girth5 size budget 2+epsilon")
-    p.add_argument("--rng-seed", default=0)
-    p.add_argument("--max-rounds", default=None)
-    p.add_argument("--max-restarts", default=None)
-    p.add_argument("--allow-low-girth", action="store_true")
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("params", help="derive girth5 parameters from epsilon")
-    p.add_argument("--epsilon", required=True)
-    p.set_defaults(func=cmd_params)
-
-    p = sub.add_parser("bench", help="run a benchmark sweep from a JSON config")
-    p.add_argument("--config", required=True)
-    p.add_argument("-o", "--output", default=None, help="CSV path (overrides config)")
-    p.set_defaults(func=cmd_bench)
-
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        func, help_text, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, keywords in arguments:
+            p.add_argument(*flags, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

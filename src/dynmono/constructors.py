@@ -258,19 +258,21 @@ def abw_seed_from_permutation(g: Graph, phi: Thresholds, order: Iterable[int]) -
     already active.
     """
     check_thresholds(g, phi)
-    pos = [-1] * g.n
-    for i, u in enumerate(order):
-        if not 0 <= u < g.n or pos[u] >= 0:
+    order = list(order)
+    seen = bytearray(g.n)
+    for u in order:
+        if not 0 <= u < g.n or seen[u]:
             raise PreconditionError("order is not a permutation of the vertices")
-        pos[u] = i
-    if any(p < 0 for p in pos):
+        seen[u] = 1
+    if len(order) < g.n:
         raise PreconditionError("order is not a permutation of the vertices")
-    seed = []
-    for u in range(g.n):
-        later = sum(1 for v in g.adj[u] if pos[v] > pos[u])
-        if later < phi[u]:
+    adj, later, seed = g.adj, [0] * g.n, []
+    for u in reversed(order):  # later[u] counts the neighbors already walked: those after u
+        if later[u] < phi[u]:
             seed.append(u)
-    return tuple(seed)
+        for v in adj[u]:
+            later[v] += 1
+    return tuple(sorted(seed))
 
 
 def abw_construct(g: Graph, phi: Thresholds, rng_seed: int = 0) -> MonopolySeed:

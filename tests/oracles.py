@@ -92,6 +92,12 @@ def naive_is_monopoly(adj: list[list[int]], phi, seed) -> bool:
     return len(naive_hull(adj, phi, seed)) == len(adj)
 
 
+def abw_seed_reference(g: Graph, phi, order) -> tuple[int, ...]:
+    """The permutation rule vertex by vertex: seed u iff fewer than phi(u) neighbors come after u in ``order``."""
+    pos = {u: i for i, u in enumerate(order)}
+    return tuple(u for u in range(g.n) if sum(1 for v in g.adj[u] if pos[v] > pos[u]) < phi[u])
+
+
 def naive_min_monopoly(adj: list[list[int]], phi) -> tuple[int, tuple[int, ...]]:
     n = len(adj)
     for k in range(n + 1):

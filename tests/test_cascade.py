@@ -78,14 +78,22 @@ def test_threshold_zero_iff_isolated():
 
 
 def test_check_thresholds():
-    g = generate(GeneratorSpec("path", 3))
+    g = generate(GeneratorSpec("path", 3))  # degrees 1, 2, 1
     check_thresholds(g, (1, 2, 1))
-    with pytest.raises(PreconditionError):
-        check_thresholds(g, (1, 3, 1))  # exceeds degree
-    with pytest.raises(PreconditionError):
-        check_thresholds(g, (1, 2))
-    with pytest.raises(PreconditionError):
-        check_thresholds(g, (-1, 0, 0))
+    check_thresholds(g, [0, 0, 0])
+    for phi, message in (
+        ((1, 2), "threshold profile has length 2, graph has 3 vertices"),
+        ((1, 2.0, 1), "threshold of vertex 1 is not an integer: 2.0"),
+        ((1, 1, True), "threshold of vertex 2 is not an integer: True"),
+        ((-1, 0, 0), "threshold of vertex 0 is negative"),
+        ((1, 3, 1), "threshold of vertex 1 exceeds its degree (3 > 2)"),
+        # the first bad vertex is named, whatever a later one fails
+        ((1, 3, -1), "threshold of vertex 1 exceeds its degree (3 > 2)"),
+        ((0, -1, "1"), "threshold of vertex 1 is negative"),
+    ):
+        with pytest.raises(PreconditionError) as info:
+            check_thresholds(g, phi)
+        assert str(info.value) == message
 
 
 def test_effective_rho_same_thresholds():

@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dynmono
 from dynmono import constructors
-from dynmono.cli import main
+from dynmono.cli import COMMANDS, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -376,3 +383,79 @@ def test_internal_error_exits_4(capsys, monkeypatch, petersen_file):
     code, out, err = run_cli(capsys, "construct", "-g", str(petersen_file), "--rho", "1/3", "--method", "v2")
     assert code == 4 and out == ""
     assert err == "internal error: v2 produced a non-monopoly seed\n"
+
+
+def usage_cases():
+    """Argument lists that end in help or a usage error: one set per command in COMMANDS, and the bare program."""
+    yield from ([], ["-h"], ["nosuchcommand"])
+    for name, (_, _, arguments) in COMMANDS.items():
+        required = {flags[-1]: keywords.get("choices", ["x"])[0] for flags, keywords in arguments
+                    if keywords.get("required")}
+
+        def argv(values):
+            return [name, *(arg for item in values.items() for arg in item)]
+
+        yield from ([name, "-h"], [name], argv(required) + ["extra"])
+        for flags, keywords in arguments:
+            if "choices" in keywords:
+                yield argv({**required, flags[-1]: "nosuch"})
+
+
+def test_cli_text_matches_the_full_parser(capsys):
+    # a run parses with its own command's parser only; every help, usage line and error reads as the full parser's
+    def outcome(parse, argv):
+        capsys.readouterr()
+        try:
+            code = parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return argv, code, captured.out, captured.err
+
+    for argv in usage_cases():
+        full = outcome(lambda args: build_parser().parse_args(args), argv)
+        code = 0 if "-h" in argv else 1
+        assert full[1] == code and (full[2] if code == 0 else full[3].startswith("usage: dynmono"))
+        assert outcome(main, argv) == full
+    # the top-level text both parsers share
+    usage = "usage: dynmono [-h] {gen,girth,hull,verify,solve,construct,params,bench} ...\n"
+    choices = ", ".join(map(repr, COMMANDS))
+    assert outcome(main, ["nosuchcommand"])[3] == (
+        f"{usage}dynmono: error: argument command: invalid choice: 'nosuchcommand' (choose from {choices})\n"
+    )
+    assert outcome(main, ["girth", "-g", "x", "extra"])[3] == f"{usage}dynmono: error: unrecognized arguments: extra\n"
+
+
+def test_a_run_builds_its_own_command_parser_only(monkeypatch, tmp_path):
+    path = tmp_path / "c5.txt"
+    assert main(["gen", "--family", "cycle", "--n", "5", "-o", str(path)]) == 0
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    assert main(["solve", "-g", str(path), "--rho", "1"]) == 0
+    assert built == ["solve"]
+    built.clear()
+    assert main(["nosuchcommand"]) == 1
+    assert built == list(COMMANDS)
+
+
+def test_console_entry_reads_sys_argv(capsys, tmp_path):
+    # `python -m dynmono` and the `dynmono` script call main() with no argv
+    path = tmp_path / "c5.txt"
+    main(["gen", "--family", "cycle", "--n", "5", "-o", str(path)])
+    env = {**os.environ, "PYTHONPATH": str(Path(dynmono.__file__).resolve().parents[1])}
+
+    def without_clock(out):
+        return re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', out)
+
+    for argv in (["params", "--epsilon", "0.5"], ["solve", "-g", str(path), "--rho", "1"]):
+        proc = subprocess.run([sys.executable, "-m", "dynmono", *argv], capture_output=True, text=True, env=env,
+                              check=False)
+        code, out, err = run_cli(capsys, *argv)
+        assert (proc.returncode, without_clock(proc.stdout), proc.stderr) == (code, without_clock(out), err)
+        assert code == 0 and out

@@ -36,8 +36,8 @@ from dynmono import (
     tree_construct,
     v2_baseline,
 )
-from instances import adj_lists, caterpillar, double_star, girth5_instance, spider, star_with_tail
-from oracles import greedy_kernel_reference, naive_is_monopoly, tree_construct_reference
+from instances import adj_lists, caterpillar, double_star, girth5_instance, gnp, spider, star_with_tail
+from oracles import abw_seed_reference, greedy_kernel_reference, naive_is_monopoly, tree_construct_reference
 
 
 # ---------------------------------------------------------------- abw
@@ -63,6 +63,17 @@ def test_abw_rule_full_thresholds():
         )
         assert abw_seed_from_permutation(g, phi, order) == expected
         assert naive_is_monopoly(adj_lists(g), phi, expected)
+
+
+def test_abw_rule_matches_per_vertex_reference():
+    # the backward walk seeds what the per-vertex rule seeds, on any thresholds in [0, deg] and any order
+    rng = random.Random(5)
+    for _ in range(200):
+        g = gnp(rng.randint(1, 25), rng.choice((0.1, 0.3, 0.6)), rng)
+        phi = tuple(rng.randint(0, d) for d in g.degrees)
+        order = list(range(g.n))
+        rng.shuffle(order)
+        assert abw_seed_from_permutation(g, phi, order) == abw_seed_reference(g, phi, order)
 
 
 def test_abw_rule_zero_thresholds():
