@@ -215,8 +215,7 @@ def write_csv(rows: list[dict], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS, lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def summary_lines(result: BenchResult) -> list[str]:

@@ -8,9 +8,9 @@ hull is the whole vertex set is a dynamic monopoly (perfect target set).
 
 All propagation runs on one incremental engine, ``Cascade``: ``add(T)`` on
 a state closed at hull(S) leaves hull(S | T), since every closed superset of
-S | T contains hull(S) | T.  ``hull``, the checked entry, is one add on a fresh
-state.  The package runs states unchecked: constructor self-checks, the greedy
-kernel, girth5 attempts (forks of the kernel's), exact-search prefixes (forks).
+S | T contains hull(S) | T.  States keep residual needs and activation waves; ``hull``, the checked entry, is one
+add on a fresh state, and ``is_monopoly`` runs its checks without building its record.  The package runs states
+unchecked: constructor self-checks, the greedy kernel, and forks for girth5 attempts and exact-search prefixes.
 
 Thresholds of the proportional family are phi(u) = ceil(rho * deg(u)) for a
 rational rho in (0, 1].  All threshold arithmetic is exact: rho is a
@@ -142,26 +142,27 @@ class CascadeResult:
 
 
 class Cascade:
-    """Active set, active-neighbor counters and rounds on one graph and threshold profile.
+    """Active set, residual needs and activation waves on one graph and threshold profile.
 
-    A run of adds ends on the hull of every seed added so far, each add costing
-    the degrees of the vertices it activates.  A fresh state is closed after its
-    first add.  Neither ids nor thresholds are checked (``hull`` checks both).
+    ``need[u]`` is phi(u) less u's active neighbours while u is inactive (0 once seeded), so u is queued once, at 0;
+    ``waves`` holds each add's ``(round, vertices)``, rounds from 0; ``size`` counts the active.  Each add costs the
+    degrees of the vertices it activates and ends on the hull of all seeds so far.  Ids and thresholds go unchecked.
     """
 
     def __init__(self, g: Graph, phi: Thresholds):
         self.adj = g.adj
         self.phi = phi
         self.active = bytearray(g.n)
-        self.count = [0] * g.n
-        self.rounds: dict[int, int] = {}
+        self.need = list(phi)
+        self.waves: list[tuple[int, list[int]]] = []
+        self.size = 0
         self._zero = [u for u, t in enumerate(phi) if t <= 0] if min(phi, default=1) <= 0 else None
 
     def fork(self) -> Cascade:
-        """An independent copy of this state: adds to either leave the other as it was."""
+        """An independent copy of this state: adds to either leave the other as it was (no wave list is mutated)."""
         twin = Cascade.__new__(Cascade)
-        twin.adj, twin.phi, twin._zero = self.adj, self.phi, self._zero
-        twin.active, twin.count, twin.rounds = self.active[:], self.count[:], dict(self.rounds)
+        twin.adj, twin.phi, twin._zero, twin.size = self.adj, self.phi, self._zero, self.size
+        twin.active, twin.need, twin.waves = self.active[:], self.need[:], self.waves[:]
         return twin
 
     def add(self, seeds: Iterable[int]) -> int:
@@ -170,50 +171,56 @@ class Cascade:
         Rounds count the synchronous waves of this add: new seeds are round
         0, and vertices with phi = 0 join at round 1 of the first add.
         """
-        adj, phi, active, count, rounds = self.adj, self.phi, self.active, self.count, self.rounds
+        adj, active, need, waves = self.adj, self.active, self.need, self.waves
         wave = []
         for u in seeds:
             if not active[u]:
                 active[u] = 1
-                rounds[u] = 0
+                need[u] = 0
                 wave.append(u)
-        # a vertex is ready once: phi = 0 ones here, the rest when their count reaches phi
+        # a vertex is ready once: phi = 0 ones here, the rest when their need reaches 0
         ready = [u for u in self._zero if not active[u]] if self._zero else []
         self._zero = None
         generation = 0
         while True:
+            waves.append((generation, wave))
+            self.size += len(wave)
             for u in wave:
                 for v in adj[u]:
-                    c = count[v] + 1
-                    count[v] = c
-                    if c == phi[v] and not active[v]:
+                    k = need[v] - 1
+                    need[v] = k
+                    if not k:
                         ready.append(v)
             if not ready:
-                return len(rounds)
+                return self.size
             wave, ready = ready, []  # the order within a wave changes no vertex's round
             generation += 1
             for u in wave:
                 active[u] = 1
-                rounds[u] = generation
 
 
-def hull(g: Graph, phi: Thresholds, seed: Iterable[int]) -> CascadeResult:
-    """The activation hull of ``seed``, thresholds and ids checked: one ``Cascade.add`` on a fresh state.
-
-    Vertices with phi = 0 are in every hull and join at round 1 unless seeded.
-    """
+def _closed(g: Graph, phi: Thresholds, seed: Iterable[int]) -> Cascade:
+    """A fresh state closed at the hull of ``seed``, after ``hull``'s checks of thresholds and ids."""
     check_thresholds(g, phi)
     seed_list = sorted(set(seed))
     if seed_list and (seed_list[0] < 0 or seed_list[-1] >= g.n):
         raise PreconditionError(f"seed contains ids outside 0..{g.n - 1}")
     state = Cascade(g, phi)
-    size = state.add(seed_list)
-    return CascadeResult(active=frozenset(state.rounds), rounds=state.rounds, is_monopoly=size == g.n)
+    state.add(seed_list)
+    return state
+
+
+def hull(g: Graph, phi: Thresholds, seed: Iterable[int]) -> CascadeResult:
+    """The activation hull of ``seed``, thresholds and ids checked: one ``Cascade.add`` on a fresh state.
+    Vertices with phi = 0 are in every hull and join at round 1 unless seeded."""
+    state = _closed(g, phi, seed)
+    rounds = {u: r for r, wave in state.waves for u in wave}
+    return CascadeResult(active=frozenset(rounds), rounds=rounds, is_monopoly=state.size == g.n)
 
 
 def is_monopoly(g: Graph, phi: Thresholds, seed: Iterable[int]) -> bool:
-    """True iff the hull of ``seed`` covers every vertex."""
-    return hull(g, phi, seed).is_monopoly
+    """True iff the hull of ``seed`` covers every vertex: ``hull``'s checks, without building its record."""
+    return _closed(g, phi, seed).size == g.n
 
 
 @dataclass(frozen=True)

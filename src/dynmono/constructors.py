@@ -359,7 +359,7 @@ def _sampling_rounds(
 ) -> tuple[tuple[int, ...], tuple[RoundRecord, ...], bool]:
     """One full run of the random rounds, extending a fork of ``base``, the kernel's closed cascade."""
     state = base.fork()
-    size = len(state.rounds)
+    size = state.size
     seed, raw = list(kernel), list(kernel)
     records: list[RoundRecord] = []
     while size < g.n and len(records) < max_rounds:
@@ -450,7 +450,7 @@ def girth5_construct(
     seed, records, fallback = best
     trace = Girth5Trace(
         kernel=kernel,
-        kernel_hull_size=len(base.rounds),
+        kernel_hull_size=base.size,
         rounds=records,
         fallback_used=fallback,
         restarts=restarts,

@@ -9,14 +9,14 @@ and r picks still to make:
 
 - a vertex in H is never picked: a seed holding one stays a monopoly
   without it, so it is not minimum;
-- a vertex u outside H still needs phi'(u) = phi(u) - count(u) neighbours
-  activated before it, and an edge inside V - H serves only one endpoint, so
+- a vertex u outside H waits for phi'(u) = ``need[u]`` more active neighbours (phi(u)
+  less those it has), and an edge inside V - H serves only one endpoint, so
   the remaining picks must carry phi' summing to at least
   sum(phi') - m(V - H); a prefix whose later ids cannot is dropped;
 - if phi'(u) > r for every u outside H, the prefix is dropped: phi'(u) is at
   most u's neighbours outside H, so r picks T leave some outside vertex
   unpicked, and the first one of those to activate would see at most
-  count(u) + r < phi(u) active neighbours.
+  phi(u) - phi'(u) + r < phi(u) active neighbours.
 
 ``cascades`` counts the root state plus one per extended prefix.
 """
@@ -69,21 +69,21 @@ def min_monopoly_exact(
 
     def viable(state: Cascade, last: int, r: int) -> bool:
         """False when the rules above prove that no r picks after id ``last`` complete ``state``."""
-        active, count = state.active, state.count
+        active, need = state.active, state.need
         if r == 0:
-            return len(state.rounds) == n
-        # the edge bound, doubled: 2 m(V - H) is the sum of deg(u) - count(u) over u outside H,
-        # so twice the need is the sum of 2 phi'(u) - deg(u) + count(u) = phi'(u) - (deg(u) - phi(u));
+            return state.size == n
+        # the edge bound, doubled: 2 m(V - H) is the sum of deg(u) - phi(u) + phi'(u) over u outside H,
+        # so twice the need is the sum of 2 phi'(u) - (deg(u) - phi(u) + phi'(u)) = phi'(u) - (deg(u) - phi(u));
         # least is the smallest phi'(u) outside H, for the first-activation rule
         twice_need, later, least = 0, [], n
         for u in range(n):
             if not active[u]:
-                need = phi[u] - count[u]
-                twice_need += need - slack[u]
-                if need < least:
-                    least = need
+                k = need[u]
+                twice_need += k - slack[u]
+                if k < least:
+                    least = k
                 if u > last:
-                    later.append(need)
+                    later.append(k)
         if r < least or len(later) < r:
             return False
         later.sort(reverse=True)

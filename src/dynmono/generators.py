@@ -95,6 +95,7 @@ def prufer_decode(seq: list[int], n: int) -> Graph:
         if not 0 <= x < n:
             raise PreconditionError(f"sequence entry {x} out of range")
         degree[x] += 1
+    expected = degree[:]  # the decode below counts degree down
     edges: list[tuple[int, int]] = []
     leaves = [u for u in range(n) if degree[u] == 1]
     heapq.heapify(leaves)
@@ -108,9 +109,6 @@ def prufer_decode(seq: list[int], n: int) -> Graph:
     v = heapq.heappop(leaves)
     edges.append((u, v))
     g = from_edges(n, edges)
-    expected = [1] * n
-    for x in seq:
-        expected[x] += 1
     if list(g.degrees) != expected:
         raise AssertionError("decoded degrees disagree with the sequence")
     return g

@@ -29,7 +29,7 @@ class Graph:
     count equals half the sum of the degrees.  Instances are immutable and
     safe to share read-only across concurrent workers.  Facts computed from
     the adjacency are cached on first use: ``degrees``, ``m``,
-    ``max_degree``, ``girth_at_least_five`` and ``is_connected``.
+    ``max_degree``, ``girth_at_least_five``, ``is_connected`` and the hash.
     """
 
     n: int
@@ -54,6 +54,11 @@ class Graph:
     @cached_property
     def is_connected(self) -> bool:
         return len(connected_components(self)) <= 1
+
+    _hash = cached_property(lambda self: hash((self.n, self.adj)))
+
+    def __hash__(self) -> int:  # the dataclass's hash of (n, adj), walked once per graph
+        return self._hash
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges (u, v) with u < v in ascending lexicographic order."""

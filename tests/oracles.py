@@ -31,6 +31,20 @@ def naive_hull(adj: list[list[int]], phi, seed) -> set[int]:
     return active
 
 
+def naive_rounds(adj: list[list[int]], phi, seed) -> dict[int, int]:
+    """Synchronous rounds by full rescans: seeds are round 0, and round r + 1 takes every inactive vertex
+    with at least phi(u) neighbours active after round r (so an unseeded phi = 0 vertex is round 1)."""
+    rounds = {u: 0 for u in seed}
+    r = 0
+    while True:
+        r += 1
+        joined = [u for u in range(len(adj)) if u not in rounds and sum(v in rounds for v in adj[u]) >= phi[u]]
+        if not joined:
+            return rounds
+        for u in joined:
+            rounds[u] = r
+
+
 def hull_active_shuffled(g: Graph, phi, seed, rng: random.Random) -> frozenset[int]:
     """Active set of the hull under a randomized asynchronous processing order.
 

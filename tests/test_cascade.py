@@ -24,7 +24,7 @@ from dynmono import (
 )
 from dynmono.cascade import Cascade
 from instances import adj_lists, gnp
-from oracles import hull_active_shuffled, naive_hull
+from oracles import hull_active_shuffled, naive_hull, naive_rounds
 
 
 def test_parse_rho():
@@ -194,6 +194,98 @@ def test_hull_fixed_point_characterization():
                     1 for v in g.adj[u] if v in res.active and res.rounds[v] < res.rounds[u]
                 )
                 assert earlier >= phi[u]
+
+
+
+def _random_case(rng: random.Random, max_n: int = 20):
+    """A G(n, p) graph with thresholds anywhere in [0, deg] (isolated vertices and some others at 0)."""
+    g = gnp(rng.randint(0, max_n), rng.choice((0.15, 0.3, 0.5)), rng)
+    return g, [rng.randint(0, d) for d in g.degrees]
+
+
+def test_hull_rounds_match_synchronous_reference():
+    rng = random.Random(29)
+    for _ in range(300):
+        g, phi = _random_case(rng)
+        seed = [u for u in range(g.n) if rng.random() < 0.2]
+        res = hull(g, phi, seed)
+        assert res.rounds == naive_rounds(adj_lists(g), phi, seed)
+        assert list(res.rounds.values()) == sorted(res.rounds.values())  # seeds first, then wave by wave
+    # a seeded zero-threshold vertex is round 0, an unseeded one round 1, and each starts a chain
+    p3 = generate(GeneratorSpec("path", 3))
+    assert hull(p3, (0, 1, 1), [0]).rounds == {0: 0, 1: 1, 2: 2}
+    assert hull(p3, (0, 1, 1), []).rounds == {0: 1, 1: 2, 2: 3}
+    assert hull(p3, (0, 2, 1), [2]).rounds == {2: 0, 0: 1, 1: 2}
+
+
+def test_cascade_invariants_over_chunked_adds():
+    rng = random.Random(31)
+    for _ in range(200):
+        g, phi = _random_case(rng)
+        adj, state, before = adj_lists(g), Cascade(g, phi), set()
+        for _ in range(rng.randint(1, 4)):
+            chunk = [rng.randrange(g.n) for _ in range(rng.randint(0, 3))] if g.n else []
+            start = len(state.waves)
+            size = state.add(chunk)
+            waves = state.waves[start:]
+            # each add's waves restart at round 0 and are the synchronous rounds from the old hull plus the chunk
+            assert [r for r, _ in waves] == list(range(len(waves)))
+            joined = {u: r for u, r in naive_rounds(adj, phi, before | set(chunk)).items() if u not in before}
+            assert {u: r for r, wave in waves for u in wave} == joined
+            active = {u for u in range(g.n) if state.active[u]}
+            assert active == before | joined.keys()
+            assert size == state.size == sum(state.active) == len(active)
+            for u in set(range(g.n)) - active:
+                assert state.need[u] == phi[u] - sum(v in active for v in adj[u])
+            before = active
+
+
+def test_fork_and_parent_stay_apart():
+    def snapshot(state: Cascade):
+        return bytes(state.active), list(state.need), [(r, list(wave)) for r, wave in state.waves], state.size
+
+    rng = random.Random(37)
+    for _ in range(150):
+        g, phi = _random_case(rng)
+        if not g.n:
+            continue
+        picks = [[rng.randrange(g.n) for _ in range(rng.randint(1, 3))] for _ in range(3)]
+        parent = Cascade(g, phi)
+        parent.add(picks[0])
+        kept = snapshot(parent)
+        twin = parent.fork()
+        twin.add(picks[1])
+        twin.add(picks[2])
+        assert snapshot(parent) == kept
+        fresh = Cascade(g, phi)
+        for chunk in picks:
+            fresh.add(chunk)
+        assert snapshot(twin) == snapshot(fresh)
+        parent.add(picks[2])
+        assert snapshot(twin) == snapshot(fresh)
+
+
+def test_is_monopoly_checks_as_hull_does():
+    g = generate(GeneratorSpec("path", 3))  # degrees 1, 2, 1
+    for phi, seed, message in (
+        ((1, 2), [0], "threshold profile has length 2, graph has 3 vertices"),
+        ((1, 2.0, 1), [0], "threshold of vertex 1 is not an integer: 2.0"),
+        ((1, 1, True), [0], "threshold of vertex 2 is not an integer: True"),
+        ((-1, 0, 0), [0], "threshold of vertex 0 is negative"),
+        ((1, 3, 1), [5], "threshold of vertex 1 exceeds its degree (3 > 2)"),
+        ((1, 1, 1), [3], "seed contains ids outside 0..2"),
+        ((1, 1, 1), [0, -1], "seed contains ids outside 0..2"),
+    ):
+        for run in (hull, is_monopoly):
+            with pytest.raises(PreconditionError) as info:
+                run(g, phi, seed)
+            assert str(info.value) == message
+    rng = random.Random(41)
+    for _ in range(300):
+        g, phi = _random_case(rng)
+        seed = [u for u in range(g.n) if rng.random() < rng.choice((0.1, 0.3, 0.6))]
+        assert is_monopoly(g, phi, seed) == hull(g, phi, seed).is_monopoly
+        assert is_monopoly(g, phi, iter(seed)) == (len(naive_hull(adj_lists(g), phi, seed)) == g.n)
 
 
 def test_high_degree_superset_is_monopoly_on_connected():

@@ -431,6 +431,18 @@ def test_girth5_kernel_cache_matches_fresh_graphs(monkeypatch):
     assert len(builds) == len(set(builds)) == 8  # one kernel per (graph, rho, delta), each asked for twice
 
 
+
+def test_girth5_kernel_cache_is_shared_by_equal_graphs(monkeypatch):
+    g = girth5_instance(65, 2.5, seed=93)  # no other test builds this graph, so no equal graph holds the entry
+    twin = from_edges(g.n, g.edges())
+    assert twin == g and twin is not g and hash(twin) == hash(g) and g not in constructors_mod._PREFIXES
+    builds = []
+    kernel = constructors_mod.greedy_kernel
+    monkeypatch.setattr(constructors_mod, "greedy_kernel", lambda g, r, d: builds.append(g) or kernel(g, r, d))
+    first = girth5_construct(g, "1/3", delta="1/2", rng_seed=1)
+    assert twin in constructors_mod._PREFIXES
+    assert girth5_construct(twin, "1/3", delta="1/2", rng_seed=1) == first and builds == [g]
+
 def test_girth5_kernel_cache_drops_its_graph():
     g = girth5_instance(60, 2.5, seed=91)  # no other test builds this graph, so no equal graph holds the entry
     girth5_construct(g, "1/3", delta="1/2", rng_seed=1)

@@ -213,3 +213,20 @@ def test_is_tree():
     assert not is_tree(from_edges(4, [(0, 1), (2, 3)]))
     assert is_tree(from_edges(1, []))
     assert not is_tree(from_edges(0, []))
+
+
+def test_graph_hash_is_computed_once_and_keeps_equality():
+    class CountingTuple(tuple):
+        hashes = 0
+
+        def __hash__(self):
+            CountingTuple.hashes += 1
+            return super().__hash__()
+
+    adj = ((1,), (0, 2), (1,))
+    g = graphs_mod.Graph(3, CountingTuple(adj))
+    plain = from_edges(3, [(0, 1), (1, 2)])
+    assert hash(g) == hash(g) == hash(plain) == hash((3, adj))  # the dataclass's hash of its fields
+    assert CountingTuple.hashes == 1
+    assert g == plain and plain == g and {plain: "entry"}[g] == "entry"
+    assert plain != from_edges(3, [(0, 1)]) and plain != from_edges(4, [(0, 1), (1, 2)])
