@@ -95,10 +95,11 @@ def parse_rho(text: str) -> Fraction:
 
 
 def proportional_thresholds(g: Graph, rho: Fraction | int | str | float) -> tuple[int, ...]:
-    """phi(u) = ceil(rho * deg(u)), computed as (p*d + q - 1) // q in exact integers."""
+    """phi(u) = ceil(rho * deg(u)), computed as (p*d + q - 1) // q in exact integers, once per distinct degree."""
     r = to_fraction(rho)
     p, q = r.numerator, r.denominator
-    return tuple((p * d + q - 1) // q for d in g.degrees)
+    ceiling = {d: (p * d + q - 1) // q for d in set(g.degrees)}
+    return tuple(map(ceiling.__getitem__, g.degrees))
 
 
 def check_thresholds(g: Graph, phi: Thresholds) -> None:
@@ -202,6 +203,11 @@ class Cascade:
 def _closed(g: Graph, phi: Thresholds, seed: Iterable[int]) -> Cascade:
     """A fresh state closed at the hull of ``seed``, after ``hull``'s checks of thresholds and ids."""
     check_thresholds(g, phi)
+    return _seeded(g, phi, seed)
+
+
+def _seeded(g: Graph, phi: Thresholds, seed: Iterable[int]) -> Cascade:
+    """A fresh state closed at the hull of ``seed``, after a range check of its ids; for thresholds checked before."""
     seed_list = sorted(set(seed))
     if seed_list and (seed_list[0] < 0 or seed_list[-1] >= g.n):
         raise PreconditionError(f"seed contains ids outside 0..{g.n - 1}")
@@ -247,8 +253,20 @@ def degree_partition(g: Graph, rho: Fraction | int | str | float) -> DegreeParti
 
 
 def parse_seed_set(text: str, n: int) -> tuple[int, ...]:
-    """Parse a seed-set document: whitespace-separated 0-based ids, '#' comments."""
-    ids: set[int] = set()
+    """Parse a seed-set document: whitespace-separated 0-based ids, '#' comments.
+
+    A valid document without '#' is accepted with builtins; any other goes to
+    the line walk, which names the first bad id with its line number.
+    """
+    if "#" not in text:
+        try:
+            ids = set(map(int, text.split()))
+        except ValueError:
+            pass
+        else:
+            if not ids or min(ids) >= 0 and max(ids) < n:
+                return tuple(sorted(ids))
+    ids = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         for token in line.split():

@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 from . import bench as bench_mod
-from .cascade import from_file, from_input, hull, parse_rho, parse_seed_set, proportional_thresholds, to_number
+from .cascade import _closed, from_file, from_input, hull, parse_rho, parse_seed_set, proportional_thresholds, to_number
 from .constructors import BUILDERS, GIRTH5_OPTIONS, check_count, check_epsilon, girth5_options, girth5_params
 from .errors import InputFormatError, PreconditionError, SizeLimitError
 from .exact import DEFAULT_SIZE_LIMIT, min_monopoly_exact
@@ -61,11 +61,11 @@ def cmd_hull(args) -> int:
 def cmd_verify(args) -> int:
     g = from_file(args.graph, "graph", parse_graph)
     phi = proportional_thresholds(g, parse_rho(args.rho))
-    result = hull(g, phi, from_file(args.seed_set, "seed", lambda text: parse_seed_set(text, g.n)))
-    if result.is_monopoly:
+    size = _closed(g, phi, from_file(args.seed_set, "seed", lambda text: parse_seed_set(text, g.n))).size
+    if size == g.n:
         print("monopoly: true")
     else:
-        print(f"monopoly: false ({g.n - len(result.active)} vertices remain inactive)")
+        print(f"monopoly: false ({g.n - size} vertices remain inactive)")
     return 0
 
 

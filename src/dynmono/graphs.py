@@ -24,7 +24,7 @@ Using +inf keeps comparisons like ``girth(g) >= 5`` meaningful for forests.
 class Graph:
     """A simple undirected graph with sorted adjacency lists.
 
-    Invariants (enforced by :func:`from_edges`, which :func:`parse_graph` feeds):
+    Invariants (enforced by :func:`from_edges` and :func:`parse_graph`):
     no self-loops, no duplicate neighbors, symmetric adjacency, and the edge
     count equals half the sum of the degrees.  Instances are immutable and
     safe to share read-only across concurrent workers.  Facts computed from
@@ -37,7 +37,7 @@ class Graph:
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(nbrs) for nbrs in self.adj)
+        return tuple(map(len, self.adj))
 
     @cached_property
     def m(self) -> int:
@@ -66,6 +66,24 @@ class Graph:
             for v in self.adj[u]:
                 if u < v:
                     yield (u, v)
+
+
+def _simple_graph(n: int, us: list[int], vs: list[int]) -> Graph | None:
+    """The graph on 0..n-1 with the edges (us[i], vs[i]), built with builtins.
+
+    None when an endpoint lies outside 0..n-1, an edge is a self-loop or an
+    edge repeats in either orientation: :func:`parse_graph` then walks the
+    document to name the first error.
+    """
+    if us and not (min(us) >= 0 and min(vs) >= 0 and max(us) < n and max(vs) < n):
+        return None
+    adj: list[list[int]] = [[] for _ in range(n)]
+    deque(map(list.append, map(adj.__getitem__, us), vs), 0)
+    deque(map(list.append, map(adj.__getitem__, vs), us), 0)
+    if sum(map(len, map(set, adj))) != 2 * len(us):  # a self-loop puts u twice in adj[u], as a repeated edge does
+        return None
+    deque(map(list.sort, adj), 0)
+    return Graph(n=n, adj=tuple(map(tuple, adj)))
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -97,10 +115,22 @@ def parse_graph(text: str) -> Graph:
 
     Format: optional comment lines starting with '#' (and blank lines),
     a header line "n m", then exactly m lines "u v" with 0-based endpoints.
-    Only the syntax is read here: the edges go lazily to :func:`from_edges`,
-    whose error on an out-of-range id, a self-loop or a duplicate edge gets
-    the edge's line number.  Nothing is repaired; the first error wins.
+    A valid document without '#' is accepted in one builtin pass: every line
+    holds 0 or 2 integer tokens, there are m edge lines, and the edges make a
+    simple graph on 0..n-1.  Any other document goes to the line walk, which
+    reads the syntax and feeds the edges lazily to :func:`from_edges`, so an
+    out-of-range id, a self-loop or a duplicate edge is named with its line
+    number.  Nothing is repaired; the first error wins.
     """
+    if "#" not in text and set(map(len, map(str.split, text.splitlines()))) <= {0, 2}:
+        try:
+            nums = list(map(int, text.split()))
+        except ValueError:
+            nums = []
+        if len(nums) >= 2 and nums[0] >= 0 and nums[1] >= 0 and len(nums) == 2 * nums[1] + 2:
+            g = _simple_graph(nums[0], nums[2::2], nums[3::2])
+            if g is not None:
+                return g
     lines = ((lineno, raw, raw.split("#", 1)[0].split()) for lineno, raw in enumerate(text.splitlines(), start=1))
     lines = (line for line in lines if line[2])
     lineno, raw, parts = next(lines, (0, "", None))

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from dynmono import Graph, connected_components, from_edges, induced_subgraph
+from dynmono import Graph, InputFormatError, PreconditionError, connected_components, from_edges, induced_subgraph
 from dynmono.cascade import Cascade
 from dynmono.generators import _gnp_edges
 
@@ -286,3 +286,79 @@ def random_girth5_reference(n: int, p: float, rng_seed: int = 0) -> Graph:
     g = from_edges(n, ((u, v) for u in range(n) for v in nbr[u] if u < v))
     biggest = max(connected_components(g), key=len)
     return induced_subgraph(g, biggest)[0]
+
+
+def from_edges_reference(n: int, edges) -> Graph:
+    """The edge walk: one edge at a time, read lazily, the first bad edge named."""
+    if n < 0:
+        raise PreconditionError(f"vertex count must be non-negative, got {n}")
+    seen: set[tuple[int, int]] = set()
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise PreconditionError(f"vertex id out of range 0..{n - 1} in edge ({u},{v})")
+        if u == v:
+            raise PreconditionError(f"self-loop at vertex {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise PreconditionError(f"duplicate edge ({key[0]},{key[1]})")
+        seen.add(key)
+        adj[u].append(v)
+        adj[v].append(u)
+    return Graph(n=n, adj=tuple(tuple(sorted(nbrs)) for nbrs in adj))
+
+
+def parse_graph_reference(text: str) -> Graph:
+    """The line walk over an edge-list document: every line read in turn, the first error named with its line."""
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if parts:
+            lines.append((lineno, raw, parts))
+    if not lines:
+        raise InputFormatError("empty document: missing 'n m' header")
+    lineno, raw, parts = lines[0]
+    if len(parts) != 2:
+        raise InputFormatError(f"line {lineno}: expected header 'n m', got {raw!r}")
+    try:
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise InputFormatError(f"line {lineno}: header values must be integers") from None
+    if n < 0 or m < 0:
+        raise InputFormatError(f"line {lineno}: header values must be non-negative")
+
+    def edges():
+        nonlocal lineno
+        for count, (lineno, raw, parts) in enumerate(lines[1:]):
+            if count >= m:
+                raise InputFormatError(f"line {lineno}: more than {m} edge lines")
+            if len(parts) != 2:
+                raise InputFormatError(f"line {lineno}: expected edge 'u v', got {raw!r}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise InputFormatError(f"line {lineno}: edge endpoints must be integers") from None
+            yield u, v
+
+    try:
+        g = from_edges_reference(n, edges())
+    except PreconditionError as exc:
+        raise InputFormatError(f"line {lineno}: {exc}") from None
+    if g.m != m:
+        raise InputFormatError(f"expected {m} edges, found {g.m}")
+    return g
+
+
+def parse_seed_set_reference(text: str, n: int) -> tuple[int, ...]:
+    """The line walk over a seed-set document: each token read in turn, the first bad one named with its line."""
+    ids: set[int] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        for token in raw.split("#", 1)[0].split():
+            try:
+                u = int(token)
+            except ValueError:
+                raise InputFormatError(f"line {lineno}: bad vertex id {token!r}") from None
+            if not 0 <= u < n:
+                raise InputFormatError(f"line {lineno}: vertex id {u} out of range 0..{n - 1}")
+            ids.add(u)
+    return tuple(sorted(ids))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from dynmono import (
 )
 from dynmono.cascade import Cascade
 from instances import adj_lists, gnp
-from oracles import hull_active_shuffled, naive_hull, naive_rounds
+from oracles import hull_active_shuffled, naive_hull, naive_rounds, parse_seed_set_reference
 
 
 def test_parse_rho():
@@ -334,3 +335,39 @@ def test_parse_seed_set():
     assert "line 2" in str(excinfo.value)
     with pytest.raises(InputFormatError):
         parse_seed_set("zero", 5)
+
+
+def _seed_outcome(text: str, n: int, parse) -> str:
+    try:
+        return repr(parse(text, n))
+    except InputFormatError as exc:
+        return f"InputFormatError: {exc}"
+
+
+def test_parse_seed_set_matches_the_line_walk_on_fuzzed_documents():
+    rng = random.Random(77)
+    spellings = [str, lambda u: f"+{u}", lambda u: f"0{u}", lambda u: f"{u}_0", lambda u: f"{u}.0"]
+    accepted = 0
+    for _ in range(2000):
+        n = rng.randint(0, 8)
+        ids = [rng.randint(-1, n) if rng.random() < 0.05 else rng.randrange(max(n, 1))
+               for _ in range(rng.randint(0, 6))]
+        tokens = [rng.choice(spellings)(u) if rng.random() < 0.1 else str(u) for u in ids]
+        lines = [" ".join(tokens[i:i + 2]) for i in range(0, len(tokens), 2)]
+        if rng.random() < 0.2:
+            lines.insert(rng.randint(0, len(lines)), rng.choice(["", "# 9", "  ", "x"]))
+        text = rng.choice(["\n", "\r\n", "\r"]).join(lines)
+        expected = _seed_outcome(text, n, parse_seed_set_reference)
+        assert _seed_outcome(text, n, parse_seed_set) == expected, (text, n)
+        accepted += expected.startswith("(")
+    assert 500 < accepted < 1900
+
+
+def test_proportional_thresholds_match_the_per_vertex_ceiling():
+    rng = random.Random(4)
+    rhos = [Fraction(1), Fraction(1, 3), Fraction(999999, 1000000), Fraction(1, 1000000)]
+    for _ in range(300):
+        g = gnp(rng.randint(0, 40), rng.random(), rng)
+        q = rng.randint(1, 1000000)
+        for rho in rhos + [Fraction(rng.randint(1, q), q)]:
+            assert proportional_thresholds(g, rho) == tuple(math.ceil(rho * d) for d in g.degrees)

@@ -23,7 +23,7 @@ from dynmono import (
 )
 from dynmono import graphs as graphs_mod
 from instances import gnp
-from oracles import girth_by_enumeration
+from oracles import from_edges_reference, girth_by_enumeration, parse_graph_reference
 
 
 def test_parse_path_example():
@@ -85,6 +85,143 @@ def test_from_edges_rejects_bad_input():
         from_edges(3, [(0, 1), (1, 0)])
     with pytest.raises(PreconditionError):
         from_edges(2, [(0, 5)])
+
+
+def _outcome(build, *args) -> str:
+    """The built graph's repr, or the exception's type and message: what a caller can observe."""
+    try:
+        return repr(build(*args))
+    except Exception as exc:  # the exception itself is the outcome compared
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _fuzz_token(x: int | str, rng: random.Random) -> str:
+    """An id as a document may spell it: mostly plain, else in another form int() reads (a str is kept as is)."""
+    text = str(x)
+    form = rng.random()
+    if isinstance(x, str) or form < 0.8:
+        return text
+    if form < 0.87:
+        return "+" + text
+    if form < 0.94:
+        return text.replace("-", "-0") if x < 0 else "0" + text
+    return text[:-1] + "_" + text[-1] if len(text.lstrip("-")) > 1 else text
+
+
+def _fuzz_document(rng: random.Random) -> str:
+    """A small edge-list document, valid or with up to three faults of the kinds a file can have."""
+    n = rng.randint(0, 12)
+    edges = [[u, v] if rng.random() < 0.5 else [v, u] for u in range(n) for v in range(u + 1, n) if rng.random() < 0.25]
+    rng.shuffle(edges)
+    header, rows = [n, len(edges)], [list(edge) for edge in edges]
+    for _ in range(rng.choice([0, 0, 0, 1, 1, 2, 3])):
+        fault = rng.randrange(7)
+        at = rng.randint(0, len(rows))
+        if fault == 0 and edges:  # a duplicate edge, either orientation, counted in the header or not
+            u, v = rng.choice(edges)
+            rows.insert(at, [u, v] if rng.random() < 0.5 else [v, u])
+            header[1] += rng.random() < 0.8
+        elif fault == 1:  # a self-loop
+            u = rng.randrange(max(n, 1))
+            rows.insert(at, [u, u])
+            header[1] += rng.random() < 0.8
+        elif fault == 2 and rows:  # an endpoint just or far out of range
+            row = rng.choice(rows)
+            if row:
+                row[rng.randrange(len(row))] = rng.choice([-1, n, n + 1, -n - 1])
+        elif fault == 3:  # surplus or missing edge lines, or a negative count
+            header[1] = max(0, header[1] + rng.choice([-1, 1])) if rng.random() < 0.9 else -1
+        elif fault == 4:  # a header vertex count that misses the ids
+            header[0] = rng.choice([-1, 0, max(n - 1, 0), n + 1])
+        elif fault == 5:  # a line with one or three tokens
+            row = rng.choice(rows + [header])
+            row.pop() if row is not header and row and rng.random() < 0.5 else row.append(rng.randrange(n + 1))
+        elif fault == 6:  # a stray line holding the header again
+            rows.insert(at, list(header))
+    if rng.random() < 0.15:  # a token int() does not read
+        row = rng.choice(rows + [header])
+        if row:
+            row[rng.randrange(len(row))] = rng.choice(["x", "1.0", "1__0", "_1", "0x1", "--1", "2#"])
+    sep = rng.choice([" ", " ", "  ", "\t", "\xa0"])
+    lines = [sep.join(_fuzz_token(x, rng) for x in row) for row in [header] + rows]
+    for _ in range(rng.choice([0, 0, 1, 2])):  # blank, whitespace and comment lines, and trailing comments
+        extra = rng.choice(["", "   ", "# a comment", "#", "  # 0 1"])
+        if extra.startswith(" ") and extra.strip():
+            lines[rng.randrange(len(lines))] += extra
+        else:
+            lines.insert(rng.randint(0, len(lines)), extra)
+    newline = rng.choice(["\n", "\n", "\r\n", "\r", "\x0c", "\u2028"])
+    return newline.join(lines) + rng.choice(["", newline])
+
+
+def test_parse_graph_matches_the_line_walk_on_fuzzed_documents():
+    rng = random.Random(20261018)
+    accepted = 0
+    for _ in range(3000):
+        text = _fuzz_document(rng)
+        got, expected = _outcome(parse_graph, text), _outcome(parse_graph_reference, text)
+        assert got == expected, text
+        accepted += expected.startswith("Graph(")
+    assert 500 < accepted < 2500  # both the accepting and the error-naming side are exercised
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3 2\r\n0 1\r\n1 2\r\n",
+        "\n\n3 2\n\n0 1\n   \n1 2\n\n",
+        "# c\n3 2\n0 1 # e\n1 2",
+        "3 2\n0 1\n1 2\n# 0 2",
+        "+3 +2\n+0 01\n1 02",
+        "11 1\n0 1_0",
+        "3 2\n0 1\n1 -2",
+        "3 1\n0 1\n1 2",
+        "3 3\n0 1\n1 2",
+        "3 2\n0 1\n0 1",
+        "3 2\n0 1\n1 0",
+        "3 2\n0 1\n2 2",
+        "3 2\n0 1\n1 3",
+        "3 2\n0 1 # 1 2\n1 2",
+        "3 2\r0 1\r1 2",
+        "0 0",
+        "3 0\n",
+        "3\n0 1",
+        "3 1 1\n0 1",
+        "3 1\n0\n1",
+    ],
+)
+def test_parse_graph_matches_the_line_walk_on_named_cases(text):
+    assert _outcome(parse_graph, text) == _outcome(parse_graph_reference, text)
+
+
+def _as_generator(pairs):
+    return (pair for pair in pairs)
+
+
+@pytest.mark.parametrize("wrap", [list, _as_generator, tuple])
+@pytest.mark.parametrize(
+    "n, pairs",
+    [
+        (4, [(0, 1), (2, 1), (3, 0)]),
+        (4, [(0, 1), (1, 0)]),
+        (4, [(0, 1), (2, 2)]),
+        (4, [(0, 4)]),
+        (4, [(-1, 2)]),
+        (3, [(True, 2), (0, 2)]),
+        (3, [(True, 1), (0, 1)]),
+        (3, [(1.0, 2), (0, 1)]),
+        (3, [(1.5, 2)]),
+        (3, [("1", 2)]),
+        (3, [(0, 1, 2)]),
+        (3, [(0, 1), (1,)]),
+        (3, [[0, 1], [1, 2]]),
+        (3, [(0, 1), [1, 2], (2, 1)]),
+        (0, []),
+        (-1, []),
+    ],
+)
+def test_from_edges_matches_the_edge_walk(n, pairs, wrap):
+    assert _outcome(from_edges, n, wrap(pairs)) == _outcome(from_edges_reference, n, wrap(pairs))
 
 
 def test_girth_classics():
