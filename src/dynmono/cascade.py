@@ -229,29 +229,6 @@ def is_monopoly(g: Graph, phi: Thresholds, seed: Iterable[int]) -> bool:
     return _closed(g, phi, seed).size == g.n
 
 
-@dataclass(frozen=True)
-class DegreePartition:
-    """Split of the vertex set by degree against 1/rho.
-
-    ``low`` holds vertices with deg < 1/rho (their proportional threshold is
-    1 whenever they have a neighbor); ``high`` holds deg >= 1/rho.  The
-    membership test is exact: deg * p >= q for rho = p/q.
-    """
-
-    low: tuple[int, ...]
-    high: tuple[int, ...]
-
-
-def degree_partition(g: Graph, rho: Fraction | int | str | float) -> DegreePartition:
-    r = to_fraction(rho)
-    p, q = r.numerator, r.denominator
-    low: list[int] = []
-    high: list[int] = []
-    for u, d in enumerate(g.degrees):
-        (high if d * p >= q else low).append(u)
-    return DegreePartition(low=tuple(low), high=tuple(high))
-
-
 def parse_seed_set(text: str, n: int) -> tuple[int, ...]:
     """Parse a seed-set document: whitespace-separated 0-based ids, '#' comments.
 

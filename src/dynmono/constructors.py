@@ -44,19 +44,11 @@ import random
 import weakref
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
-from .cascade import (
-    Cascade,
-    Thresholds,
-    check_thresholds,
-    degree_partition,
-    proportional_thresholds,
-    to_fraction,
-    to_number,
-)
+from .cascade import Cascade, Thresholds, check_thresholds, proportional_thresholds, to_fraction, to_number
 from .errors import PreconditionError
-from .graphs import Graph, girth_at_least_five, is_connected, is_tree
+from .graphs import Graph, girth_at_least_five, is_tree
 from .seeding import stable_seed
 
 DELTA_CAP = min(math.exp(-0.25), 0.5)
@@ -156,10 +148,6 @@ class Girth5Params:
     rho_max: float
     p2: float
 
-    def p1(self, rho: Fraction | float) -> float:
-        """Sampling probability rho/(1-delta) used in each random round."""
-        return float(rho) / (1.0 - self.delta)
-
 
 def girth5_params(epsilon: float) -> Girth5Params:
     """Resolve epsilon -> (delta, rho_max, p2) by bisecting the growth constant.
@@ -249,37 +237,23 @@ def _verified(g: Graph, phi: Thresholds, method: str, seed: tuple[int, ...], par
     return MonopolySeed(method=method, seed=seed, params=params, verified=True, trace=trace)
 
 
-def abw_seed_from_permutation(g: Graph, phi: Thresholds, order: Iterable[int]) -> tuple[int, ...]:
-    """Apply the permutation rule: seed u iff fewer than phi(u) neighbors come after u.
+def abw_construct(g: Graph, phi: Thresholds, rng_seed: int = 0) -> MonopolySeed:
+    """Random-permutation seed: shuffle the vertices and seed u iff fewer than phi(u) neighbors come after u.
 
-    ``order`` lists the vertices from first to last.  Activating the
-    non-seed vertices in reverse order witnesses that the result is a
-    monopoly: each has at least phi(u) neighbors later in the order, all
-    already active.
+    Activating the other vertices in reverse order witnesses a monopoly for
+    every order: each has at least phi(u) neighbors later in the order, all
+    already active.  The expected size is exact.abw_bound(g, phi).
     """
     check_thresholds(g, phi)
-    order = list(order)
-    seen = bytearray(g.n)
-    for u in order:
-        if not 0 <= u < g.n or seen[u]:
-            raise PreconditionError("order is not a permutation of the vertices")
-        seen[u] = 1
-    if len(order) < g.n:
-        raise PreconditionError("order is not a permutation of the vertices")
+    order = list(range(g.n))
+    random.Random(rng_seed).shuffle(order)
     adj, later, seed = g.adj, [0] * g.n, []
     for u in reversed(order):  # later[u] counts the neighbors already walked: those after u
         if later[u] < phi[u]:
             seed.append(u)
         for v in adj[u]:
             later[v] += 1
-    return tuple(sorted(seed))
-
-
-def abw_construct(g: Graph, phi: Thresholds, rng_seed: int = 0) -> MonopolySeed:
-    """Random-permutation seed; expected size equals exact.abw_bound(g, phi)."""
-    order = list(range(g.n))
-    random.Random(rng_seed).shuffle(order)
-    return _verified(g, phi, "abw", abw_seed_from_permutation(g, phi, order), {"rng_seed": rng_seed})
+    return _verified(g, phi, "abw", tuple(sorted(seed)), {"rng_seed": rng_seed})
 
 
 def greedy_kernel(
@@ -304,12 +278,12 @@ def greedy_kernel(
     """
     r = to_fraction(rho)
     d = check_delta(delta)
-    part = degree_partition(g, r)
-    if not part.high:
+    degrees, p, q = g.degrees, r.numerator, r.denominator
+    high = [u for u, deg in enumerate(degrees) if deg * p >= q]  # deg >= 1/rho, exactly
+    if not high:
         raise PreconditionError("no vertex of degree >= 1/rho: greedy kernel undefined")
     dp, dq = d.numerator, d.denominator  # count > deg/(1+d)  <=>  count*(dp+dq) > deg*dq
-    low = set(part.low)
-    degrees = g.degrees
+    low = set(range(g.n)) - set(high)
     state = Cascade(g, proportional_thresholds(g, r))  # its phi = 0 vertices are isolated: no one's neighbors
     absorbed = state.active
 
@@ -318,11 +292,11 @@ def greedy_kernel(
         return cnt * (dp + dq) > degrees[u] * dq
 
     kernel: list[int] = []
-    for u in part.high:
+    for u in high:
         if holds_out(u):
             kernel.append(u)
             state.add((u,))
-    if any(map(holds_out, part.high)):  # kernel vertices pass: their low neighbors are absorbed
+    if any(map(holds_out, high)):  # kernel vertices pass: their low neighbors are absorbed
         raise AssertionError("kernel terminated non-maximally")
     if len(kernel) > (1 + d) * r * g.n:
         raise AssertionError("kernel exceeded (1+delta)*rho*n")
@@ -427,7 +401,7 @@ def girth5_construct(
                                   allow_low_girth=allow_low_girth))
     epsilon, max_restarts = options["epsilon"], options["max_restarts"]
     d = options["delta"] or check_delta(girth5_params(epsilon).delta if epsilon is not None else DELTA_CAP)
-    if g.n < 1 or not is_connected(g):
+    if g.n < 1 or not g.is_connected:
         raise PreconditionError("girth5 construction requires a connected, nonempty graph")
     if r > 1 - d:
         raise PreconditionError(f"sampling probability rho/(1-delta) exceeds 1 for rho={r}, delta={d}")
@@ -587,10 +561,11 @@ def v2_baseline(g: Graph, rho: Fraction | int | str | float) -> MonopolySeed:
     any nonempty superset of the class floods the graph.
     """
     r = to_fraction(rho)
-    if g.n < 1 or not is_connected(g):
+    if g.n < 1 or not g.is_connected:
         raise PreconditionError("high-degree baseline requires a connected, nonempty graph")
-    part = degree_partition(g, r)
-    return _verified(g, proportional_thresholds(g, r), "v2", part.high or (0,), {"rho": str(r)})
+    p, q = r.numerator, r.denominator
+    high = tuple(u for u, d in enumerate(g.degrees) if d * p >= q)  # deg >= 1/rho, exactly
+    return _verified(g, proportional_thresholds(g, r), "v2", high or (0,), {"rho": str(r)})
 
 
 # Method name -> builder(g, rho, rng_seed, **options), the one dispatch of the CLI and the bench.

@@ -51,10 +51,7 @@ class Graph:
     def girth_at_least_five(self) -> bool:
         return _shortest_cycle(self, 5) >= 5
 
-    @cached_property
-    def is_connected(self) -> bool:
-        return len(connected_components(self)) <= 1
-
+    is_connected = cached_property(lambda self: len(connected_components(self)) <= 1)
     _hash = cached_property(lambda self: hash((self.n, self.adj)))
 
     def __hash__(self) -> int:  # the dataclass's hash of (n, adj), walked once per graph
@@ -196,14 +193,9 @@ def connected_components(g: Graph) -> list[list[int]]:
     return blocks
 
 
-def is_connected(g: Graph) -> bool:
-    """True iff g has at most one connected component; one search per graph, cached on ``g``."""
-    return g.is_connected
-
-
 def is_tree(g: Graph) -> bool:
     """True iff g is connected and has exactly n-1 edges."""
-    return g.n >= 1 and g.m == g.n - 1 and is_connected(g)
+    return g.n >= 1 and g.m == g.n - 1 and g.is_connected
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, int]]:

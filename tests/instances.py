@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from dynmono import Graph, from_edges, generate, GeneratorSpec, petersen, random_girth5
+from dynmono import Graph, from_edges, generate, GeneratorSpec, random_girth5
+from dynmono.generators import petersen
 
 
 def gnp(n: int, p: float, rng: random.Random) -> Graph:

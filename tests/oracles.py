@@ -11,9 +11,10 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from dynmono import Graph, InputFormatError, PreconditionError, connected_components, from_edges, induced_subgraph
+from dynmono import Graph, InputFormatError, PreconditionError, from_edges
 from dynmono.cascade import Cascade
 from dynmono.generators import _gnp_edges
+from dynmono.graphs import connected_components, induced_subgraph
 
 
 def naive_hull(adj: list[list[int]], phi, seed) -> set[int]:

@@ -20,33 +20,32 @@ from dynmono import (
     PreconditionError,
     abw_bound,
     abw_construct,
-    abw_seed_from_permutation,
-    activation_probability,
-    default_round_count,
-    degree_partition,
     from_edges,
     generate,
     girth5_construct,
     girth5_params,
-    girth_at_least_five,
-    greedy_kernel,
-    growth_constant,
     hull,
-    is_connected,
     is_monopoly,
     load_config,
     min_monopoly_exact,
-    petersen,
     proportional_thresholds,
-    rho_upper_bound,
     run_bench,
     serialize_graph,
     tree_construct,
     v2_baseline,
 )
 from dynmono.bench import CSV_COLUMNS, write_csv
+from dynmono.constructors import (
+    activation_probability,
+    default_round_count,
+    greedy_kernel,
+    growth_constant,
+    rho_upper_bound,
+)
+from dynmono.generators import petersen
+from dynmono.graphs import girth_at_least_five
 from instances import dominance_fixtures, girth5_instance, gnp, small_fixtures
-from oracles import hull_active_shuffled
+from oracles import abw_seed_reference, hull_active_shuffled
 
 
 @contextmanager
@@ -139,8 +138,12 @@ def test_c05_permutation_rule_correctness():
                 continue
             phi = proportional_thresholds(g, rho)
             for order in permutations(range(g.n)):
-                seed = abw_seed_from_permutation(g, phi, order)
+                seed = abw_seed_reference(g, phi, order)
                 assert is_monopoly(g, phi, seed), (name, order)
+            for rng_seed in range(20):  # abw_construct seeds what the rule seeds on the order it shuffles
+                order = list(range(g.n))
+                random.Random(rng_seed).shuffle(order)
+                assert abw_construct(g, phi, rng_seed).seed == abw_seed_reference(g, phi, order), (name, rng_seed)
         c5 = generate(GeneratorSpec("cycle", 5))
         phi = proportional_thresholds(c5, 1)
         sizes = [abw_construct(c5, phi, rng_seed=50_000 + i).size for i in range(10_000)]
@@ -158,13 +161,12 @@ def test_c06_greedy_kernel_postconditions():
             n = rng.randint(15, 150)
             g = girth5_instance(n, rng.uniform(1.8, 3.0), seed=idx)
             rho = Fraction(1, g.max_degree)
-            part = degree_partition(g, rho)
             phi = proportional_thresholds(g, rho)
-            low = set(part.low)
+            low = {u for u, d in enumerate(g.degrees) if d * rho < 1}
             for delta in deltas:
                 kernel = greedy_kernel(g, rho, delta)
                 absorbed = hull(g, phi, kernel).active
-                for u in part.high:
+                for u in set(range(g.n)) - low:
                     if u in kernel:
                         continue
                     cnt = sum(1 for v in g.adj[u] if v in low and v not in absorbed)
@@ -185,7 +187,7 @@ def test_c07_girth5_procedure_validity():
         ratios = []
         survivals = []
         for name, g in instances:
-            assert is_connected(g) and girth_at_least_five(g)
+            assert g.is_connected and girth_at_least_five(g)
             rho = Fraction(1, g.max_degree)
             delta = Fraction(1, 2)
             ms = girth5_construct(
@@ -248,7 +250,7 @@ def test_c08_parameter_calculus():
                 p.delta / (1 + p.delta) * (1 - math.exp(-p.delta**2 / (2 * (1 - p.delta))))
                 / (8 * math.log(1 / p.delta))
             ) * (1 + 1e-12)
-            assert 0 < p.p1(min(p.delta, p.rho_max * 10)) <= 1
+            assert 0 < min(p.delta, p.rho_max * 10) / (1 - p.delta) <= 1  # girth5's sampling probability p1
         for n in (1, 10, 1000):
             for d in (0.1, 0.5):
                 k = default_round_count(n, d)

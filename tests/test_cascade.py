@@ -10,20 +10,17 @@ from dynmono import (
     GeneratorSpec,
     InputFormatError,
     PreconditionError,
-    check_thresholds,
-    connected_components,
-    degree_partition,
     from_edges,
     generate,
     hull,
     is_monopoly,
     parse_rho,
-    parse_seed_set,
-    petersen,
     proportional_thresholds,
     to_fraction,
 )
-from dynmono.cascade import Cascade
+from dynmono.cascade import Cascade, check_thresholds, parse_seed_set
+from dynmono.generators import petersen
+from dynmono.graphs import connected_components
 from instances import adj_lists, gnp
 from oracles import hull_active_shuffled, naive_hull, naive_rounds, parse_seed_set_reference
 
@@ -51,8 +48,6 @@ def test_to_fraction_exact_and_named():
     for bad in (float("nan"), float("inf"), "nan", "-inf", True, None, [1], 0, "5/3"):
         with pytest.raises(PreconditionError, match="rho"):
             proportional_thresholds(pet, bad)
-        with pytest.raises(PreconditionError, match="rho"):
-            degree_partition(pet, bad)
 
 
 def test_proportional_thresholds_exact_ceilings():
@@ -299,24 +294,8 @@ def test_high_degree_superset_is_monopoly_on_connected():
             continue
         found += 1
         rho = Fraction(1, rng.randint(1, g.max_degree + 2))
-        part = degree_partition(g, rho)
-        seed = set(part.high) | {rng.randrange(n)}
+        seed = {u for u, d in enumerate(g.degrees) if d * rho >= 1} | {rng.randrange(n)}
         assert is_monopoly(g, proportional_thresholds(g, rho), seed)
-
-
-def test_degree_partition_examples():
-    pet = petersen()
-    part = degree_partition(pet, "1/3")
-    assert part.low == () and part.high == tuple(range(10))
-
-    p20 = generate(GeneratorSpec("path", 20))
-    part = degree_partition(p20, "1/10")
-    assert part.high == ()
-
-    star5 = generate(GeneratorSpec("star", 5))
-    part = degree_partition(star5, "1/5")
-    assert part.high == (0,)
-    assert part.low == (1, 2, 3, 4, 5)
 
 
 def test_is_monopoly_cycle_cases():

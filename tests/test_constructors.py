@@ -11,31 +11,33 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynmono import constructors as constructors_mod
 from dynmono import (
-    DELTA_CAP,
     GeneratorSpec,
     PreconditionError,
     abw_construct,
-    abw_seed_from_permutation,
-    activation_probability,
-    default_round_count,
-    degree_partition,
     from_edges,
     generate,
     girth5_construct,
     girth5_params,
-    greedy_kernel,
-    growth_constant,
     hull,
     is_monopoly,
-    petersen,
     proportional_thresholds,
-    rho_upper_bound,
     tree_construct,
     v2_baseline,
 )
+from dynmono.cascade import check_thresholds
+from dynmono.constructors import (
+    DELTA_CAP,
+    activation_probability,
+    default_round_count,
+    greedy_kernel,
+    growth_constant,
+    rho_upper_bound,
+)
+from dynmono.generators import petersen
 from instances import adj_lists, caterpillar, double_star, girth5_instance, gnp, spider, star_with_tail
 from oracles import abw_seed_reference, greedy_kernel_reference, naive_is_monopoly, tree_construct_reference
 
@@ -48,54 +50,67 @@ def test_abw_rule_full_thresholds():
     # K2 exactly the later vertex is seeded (size 1 = sum phi/(d+1))
     k2 = generate(GeneratorSpec("complete", 2))
     phi = (1, 1)
-    assert abw_seed_from_permutation(k2, phi, (0, 1)) == (1,)
-    assert abw_seed_from_permutation(k2, phi, (1, 0)) == (0,)
+    assert abw_seed_reference(k2, phi, (0, 1)) == (1,)
+    assert abw_seed_reference(k2, phi, (1, 0)) == (0,)
 
-    rng = random.Random(2)
-    for _ in range(10):
+    for rng_seed in range(10):
         g = petersen()
         phi = g.degrees
         order = list(range(g.n))
-        rng.shuffle(order)
+        random.Random(rng_seed).shuffle(order)
         pos = {u: i for i, u in enumerate(order)}
         expected = tuple(
             u for u in range(g.n) if any(pos[v] < pos[u] for v in g.adj[u])
         )
-        assert abw_seed_from_permutation(g, phi, order) == expected
-        assert naive_is_monopoly(adj_lists(g), phi, expected)
+        assert abw_seed_reference(g, phi, order) == abw_construct(g, phi, rng_seed).seed == expected
+        assert naive_is_monopoly(adj_lists(g), phi, expected) and is_monopoly(g, phi, expected)
 
 
-def test_abw_rule_matches_per_vertex_reference():
-    # the backward walk seeds what the per-vertex rule seeds, on any thresholds in [0, deg] and any order
-    rng = random.Random(5)
-    for _ in range(200):
-        g = gnp(rng.randint(1, 25), rng.choice((0.1, 0.3, 0.6)), rng)
-        phi = tuple(rng.randint(0, d) for d in g.degrees)
-        order = list(range(g.n))
-        rng.shuffle(order)
-        assert abw_seed_from_permutation(g, phi, order) == abw_seed_reference(g, phi, order)
+@st.composite
+def graphs_with_thresholds(draw):
+    """A G(n, p) graph on 1..25 vertices, with thresholds anywhere in [0, deg]."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = gnp(draw(st.integers(1, 25)), draw(st.sampled_from((0.1, 0.3, 0.6))), rng)
+    return g, tuple(rng.randint(0, d) for d in g.degrees)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(graphs_with_thresholds(), st.integers(0, 2**64 - 1))
+def test_abw_construct_matches_per_vertex_reference(case, rng_seed):
+    # the backward walk seeds what the per-vertex rule seeds on the order abw_construct's stream shuffles
+    g, phi = case
+    order = list(range(g.n))
+    random.Random(rng_seed).shuffle(order)
+    assert abw_construct(g, phi, rng_seed).seed == abw_seed_reference(g, phi, order)
+
+
+def test_abw_construct_refuses_bad_profile():
+    # abw_construct checks its profile once, with check_thresholds' message
+    p3 = generate(GeneratorSpec("path", 3))
+    for phi, message in (
+        ((1, 1), "threshold profile has length 2, graph has 3 vertices"),
+        ((0, -1, 0), "threshold of vertex 1 is negative"),
+        ((1, 3, 1), "threshold of vertex 1 exceeds its degree (3 > 2)"),
+        ((1.0, 1, 1), "threshold of vertex 0 is not an integer: 1.0"),
+        ((1, True, 1), "threshold of vertex 1 is not an integer: True"),
+    ):
+        for refuse in (check_thresholds, abw_construct):
+            with pytest.raises(PreconditionError) as refused:
+                refuse(p3, phi)
+            assert str(refused.value) == message
 
 
 def test_abw_rule_zero_thresholds():
     c4 = generate(GeneratorSpec("cycle", 4))
-    assert abw_seed_from_permutation(c4, (0, 0, 0, 0), (0, 1, 2, 3)) == ()
-
-
-def test_abw_rule_rejects_non_permutation():
-    p3 = generate(GeneratorSpec("path", 3))
-    phi = proportional_thresholds(p3, "1/2")
-    with pytest.raises(PreconditionError):
-        abw_seed_from_permutation(p3, phi, (0, 0, 1))
-    with pytest.raises(PreconditionError):
-        abw_seed_from_permutation(p3, phi, (0, 1))
+    assert abw_construct(c4, (0, 0, 0, 0)).seed == ()
 
 
 def test_abw_every_permutation_is_monopoly_c4():
     c4 = generate(GeneratorSpec("cycle", 4))
     phi = proportional_thresholds(c4, 1)
     for order in permutations(range(4)):
-        seed = abw_seed_from_permutation(c4, phi, order)
-        assert naive_is_monopoly(adj_lists(c4), phi, seed)
+        seed = abw_seed_reference(c4, phi, order)
+        assert naive_is_monopoly(adj_lists(c4), phi, seed) and is_monopoly(c4, phi, seed)
 
 
 def test_abw_construct_verified_and_deterministic():
@@ -147,11 +162,6 @@ def test_params_cap_and_limits():
         girth5_params(0.0)
     with pytest.raises(PreconditionError):
         girth5_params(float("nan"))  # NaN > 0 is false, but so was NaN <= 0
-
-
-def test_params_p1_within_unit_interval():
-    params = girth5_params(0.568)
-    assert 0 < params.p1(params.delta * 0.99) <= 1.0
 
 
 def test_default_round_count_minimal():
@@ -246,11 +256,10 @@ def test_kernel_exit_conditions_exact():
         rho = Fraction(1, g.max_degree)
         for delta in (Fraction(1, 10), Fraction(3, 10), Fraction(1, 2)):
             kernel = greedy_kernel(g, rho, delta)
-            part = degree_partition(g, rho)
             phi = proportional_thresholds(g, rho)
             absorbed = hull(g, phi, kernel).active
-            low = set(part.low)
-            for u in part.high:
+            low = {u for u, d in enumerate(g.degrees) if d * rho < 1}
+            for u in set(range(g.n)) - low:
                 if u in kernel:
                     continue
                 cnt = sum(1 for v in g.adj[u] if v in low and v not in absorbed)
@@ -587,11 +596,19 @@ def test_tree_construct_large_random_tree():
 
 
 def test_v2_baseline_cases():
+    # the class is deg >= 1/rho, exactly: deg * rho = 1 is in, anything below is out (then vertex 0 alone)
     assert v2_baseline(petersen(), "1/3").seed == tuple(range(10))
+    assert v2_baseline(petersen(), "2/7").seed == (0,)
     p20 = generate(GeneratorSpec("path", 20))
     assert v2_baseline(p20, "1/10").seed == (0,)
+    assert v2_baseline(p20, "1/2").seed == tuple(range(1, 19))
+    assert v2_baseline(p20, "2/5").seed == (0,)
     star5 = generate(GeneratorSpec("star", 5))
     assert v2_baseline(star5, "1/5").seed == (0,)
+    star = from_edges(6, [(5, leaf) for leaf in range(5)])  # the centre, of degree 5, is the last vertex
+    assert v2_baseline(star, "1/5").seed == (5,)
+    assert v2_baseline(star, "1/6").seed == (0,)
+    assert v2_baseline(star, 1).seed == tuple(range(6))
     assert v2_baseline(from_edges(1, []), 1).seed == (0,)
 
 

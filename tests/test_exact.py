@@ -9,13 +9,13 @@ from dynmono import (
     GeneratorSpec,
     SizeLimitError,
     abw_bound,
-    connected_components,
     from_edges,
     generate,
     is_monopoly,
     min_monopoly_exact,
     proportional_thresholds,
 )
+from dynmono.graphs import connected_components
 from instances import adj_lists, gnp
 from oracles import min_monopoly_exhaustive_reference, naive_min_monopoly
 

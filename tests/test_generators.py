@@ -5,20 +5,10 @@ import random
 
 import pytest
 
-from dynmono import (
-    GeneratorSpec,
-    PreconditionError,
-    connected_components,
-    generate,
-    girth,
-    girth_at_least_five,
-    is_tree,
-    prufer_decode,
-    random_girth5,
-    random_tree,
-    serialize_graph,
-)
+from dynmono import GeneratorSpec, PreconditionError, generate, girth, random_girth5, random_tree, serialize_graph
 from dynmono import generators
+from dynmono.generators import prufer_decode
+from dynmono.graphs import connected_components, girth_at_least_five, is_tree
 from oracles import random_girth5_reference
 
 
