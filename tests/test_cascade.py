@@ -17,8 +17,10 @@ from dynmono import (
     parse_rho,
     proportional_thresholds,
     to_fraction,
+    v2_baseline,
 )
 from dynmono.cascade import Cascade, check_thresholds, parse_seed_set
+from dynmono.constructors import greedy_kernel
 from dynmono.generators import petersen
 from dynmono.graphs import connected_components
 from instances import adj_lists, gnp
@@ -296,6 +298,37 @@ def test_high_degree_superset_is_monopoly_on_connected():
         rho = Fraction(1, rng.randint(1, g.max_degree + 2))
         seed = {u for u, d in enumerate(g.degrees) if d * rho >= 1} | {rng.randrange(n)}
         assert is_monopoly(g, proportional_thresholds(g, rho), seed)
+
+
+def test_degree_partition_examples():
+    # deg >= 1/rho splits the vertices; v2_baseline seeds the high class and greedy_kernel picks inside it
+    def partition(g, rho):
+        r = to_fraction(rho)
+        low = tuple(u for u, d in enumerate(g.degrees) if d * r < 1)
+        return low, tuple(u for u in range(g.n) if u not in low)
+
+    pet = petersen()
+    low, high = partition(pet, "1/3")
+    assert low == () and high == tuple(range(10))
+    assert v2_baseline(pet, "1/3").seed == high
+    assert set(greedy_kernel(pet, "1/3", "1/2")) <= set(high)
+
+    p20 = generate(GeneratorSpec("path", 20))
+    assert partition(p20, "1/10")[1] == ()
+    with pytest.raises(PreconditionError, match="1/rho"):
+        greedy_kernel(p20, "1/10", "1/2")
+
+    star5 = generate(GeneratorSpec("star", 5))
+    low, high = partition(star5, "1/5")
+    assert high == (0,)
+    assert low == (1, 2, 3, 4, 5)
+    assert v2_baseline(star5, "1/5").seed == high
+    assert greedy_kernel(star5, "1/5", "1/2") == high
+    assert [proportional_thresholds(star5, "1/5")[u] for u in low] == [1] * 5  # low and not isolated: threshold 1
+
+    for bad in (float("nan"), "-inf", 0, "5/3"):
+        with pytest.raises(PreconditionError, match="rho"):
+            v2_baseline(pet, bad)
 
 
 def test_is_monopoly_cycle_cases():
