@@ -95,19 +95,26 @@ def parse_rho(text: str) -> Fraction:
 
 
 def proportional_thresholds(g: Graph, rho: Fraction | int | str | float) -> tuple[int, ...]:
-    """phi(u) = ceil(rho * deg(u)), computed as (p*d + q - 1) // q in exact integers, once per distinct degree."""
+    """phi(u) = ceil(rho * deg(u)), computed as (p*d + q - 1) // q in exact integers, once per distinct degree.
+    Cached on ``g`` per exact rho: equal rhos ("1/2", 0.5, Fraction(1, 2)) return the same tuple."""
     r = to_fraction(rho)
-    p, q = r.numerator, r.denominator
-    ceiling = {d: (p * d + q - 1) // q for d in set(g.degrees)}
-    return tuple(map(ceiling.__getitem__, g.degrees))
+    profiles = g._profiles
+    if r not in profiles:
+        p, q = r.numerator, r.denominator
+        ceiling = {d: (p * d + q - 1) // q for d in set(g.degrees)}
+        profiles[r] = tuple(map(ceiling.__getitem__, g.degrees))
+    return profiles[r]
 
 
 def check_thresholds(g: Graph, phi: Thresholds) -> None:
     """Reject threshold profiles outside the supported domain.
 
     Profiles with phi(u) > deg(u) are rejected rather than given ad-hoc
-    semantics: such a vertex could never activate by cascade.
+    semantics: such a vertex could never activate by cascade.  A profile that
+    ``proportional_thresholds`` cached on g, the same object, passes unwalked.
     """
+    if any(phi is t for t in g._profiles.values()):  # ceil(rho * d) lies in [0, d]
+        return
     if len(phi) != g.n:
         raise PreconditionError(f"threshold profile has length {len(phi)}, graph has {g.n} vertices")
     if set(map(type, phi)) <= {int} and min(phi, default=0) >= 0 and all(map(operator.le, phi, g.degrees)):

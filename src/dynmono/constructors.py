@@ -49,7 +49,7 @@ from typing import Callable
 from .cascade import Cascade, Thresholds, check_thresholds, proportional_thresholds, to_fraction, to_number
 from .errors import PreconditionError
 from .graphs import Graph, girth_at_least_five, is_tree
-from .seeding import stable_seed
+from .seeding import shuffled_range, stable_seed
 
 DELTA_CAP = min(math.exp(-0.25), 0.5)
 """Upper limit for the slack parameter delta (equals 0.5), and its value when no epsilon is given."""
@@ -240,15 +240,15 @@ def _verified(g: Graph, phi: Thresholds, method: str, seed: tuple[int, ...], par
 def abw_construct(g: Graph, phi: Thresholds, rng_seed: int = 0) -> MonopolySeed:
     """Random-permutation seed: shuffle the vertices and seed u iff fewer than phi(u) neighbors come after u.
 
+    The order is exactly ``random.Random(rng_seed).shuffle``'s, from ``shuffled_range``.
+
     Activating the other vertices in reverse order witnesses a monopoly for
     every order: each has at least phi(u) neighbors later in the order, all
     already active.  The expected size is exact.abw_bound(g, phi).
     """
     check_thresholds(g, phi)
-    order = list(range(g.n))
-    random.Random(rng_seed).shuffle(order)
     adj, later, seed = g.adj, [0] * g.n, []
-    for u in reversed(order):  # later[u] counts the neighbors already walked: those after u
+    for u in reversed(shuffled_range(g.n, rng_seed)):  # later[u] counts the neighbors already walked: those after u
         if later[u] < phi[u]:
             seed.append(u)
         for v in adj[u]:
@@ -283,12 +283,12 @@ def greedy_kernel(
     if not high:
         raise PreconditionError("no vertex of degree >= 1/rho: greedy kernel undefined")
     dp, dq = d.numerator, d.denominator  # count > deg/(1+d)  <=>  count*(dp+dq) > deg*dq
-    low = set(range(g.n)) - set(high)
+    low = bytearray(deg * p < q for deg in degrees)  # the complement of high, as a mask
     state = Cascade(g, proportional_thresholds(g, r))  # its phi = 0 vertices are isolated: no one's neighbors
     absorbed = state.active
 
     def holds_out(u: int) -> bool:
-        cnt = sum(1 for v in g.adj[u] if v in low and not absorbed[v])
+        cnt = sum(1 for v in g.adj[u] if low[v] and not absorbed[v])
         return cnt * (dp + dq) > degrees[u] * dq
 
     kernel: list[int] = []
@@ -349,7 +349,8 @@ def _sampling_rounds(
             raise AssertionError("raw-sample hull diverged from seed hull")
         records.append(RoundRecord(sampled=len(xi), added=yi, hull_size=size))
     fallback = size < g.n  # then every vertex still inactive is added
-    seed.extend(u for u in range(g.n) if not state.active[u])
+    if fallback:
+        seed.extend(u for u in range(g.n) if not state.active[u])
     return tuple(sorted(seed)), tuple(records), fallback
 
 

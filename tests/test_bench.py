@@ -179,8 +179,8 @@ def test_girth5_scan_runs_once_per_instance(monkeypatch):
     # every girth5 cell asks girth_at_least_five and is_connected, and every trial wants the greedy kernel:
     # the answers are cached on the graph, so one search each per instance and one kernel per (instance, rho)
     scans, searches, kernels = [], [], []
-    search = graphs_mod._shortest_cycle
-    monkeypatch.setattr(graphs_mod, "_shortest_cycle", lambda g, best: scans.append(g.n) or search(g, best))
+    scan = graphs_mod._short_cycle_free
+    monkeypatch.setattr(graphs_mod, "_short_cycle_free", lambda g: scans.append(g.n) or scan(g))
     components = graphs_mod.connected_components
     monkeypatch.setattr(graphs_mod, "connected_components", lambda g: searches.append(g.n) or components(g))
     kernel = constructors_mod.greedy_kernel

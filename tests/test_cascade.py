@@ -77,6 +77,7 @@ def test_threshold_zero_iff_isolated():
 
 def test_check_thresholds():
     g = generate(GeneratorSpec("path", 3))  # degrees 1, 2, 1
+    assert proportional_thresholds(g, 1) == (1, 2, 1)  # a graph with cached profiles refuses the same way
     check_thresholds(g, (1, 2, 1))
     check_thresholds(g, [0, 0, 0])
     for phi, message in (
@@ -92,6 +93,43 @@ def test_check_thresholds():
         with pytest.raises(PreconditionError) as info:
             check_thresholds(g, phi)
         assert str(info.value) == message
+
+
+def test_proportional_profiles_are_cached_per_graph():
+    g = petersen()
+    phi = proportional_thresholds(g, "1/2")
+    assert phi is proportional_thresholds(g, Fraction(1, 2)) is proportional_thresholds(g, 0.5)
+    assert phi is not proportional_thresholds(petersen(), "1/2")  # an equal graph keeps its own cache
+    assert proportional_thresholds(g, "1/3") is not phi
+
+
+class _WalkedList(list):
+    """A list that records each iteration over it."""
+
+    walks = 0
+
+    def __iter__(self):
+        _WalkedList.walks += 1
+        return super().__iter__()
+
+
+def test_check_thresholds_passes_only_the_graphs_own_profiles_unwalked():
+    rng = random.Random(6)
+    for _ in range(60):
+        g = gnp(rng.randint(0, 30), rng.random(), rng)
+        for rho in (Fraction(1), Fraction(1, 3), Fraction(rng.randint(1, 50), 50)):
+            phi = proportional_thresholds(g, rho)
+            check_thresholds(g, list(phi))  # every cached profile also passes the full check
+            before = _WalkedList.walks
+            check_thresholds(g, phi)
+            check_thresholds(g, _WalkedList(phi))  # equal values, another object: walked
+            assert _WalkedList.walks > before
+    # a profile cached for another graph of the same order is walked, and refused where it is bad
+    path, triangle = generate(GeneratorSpec("path", 3)), generate(GeneratorSpec("complete", 3))
+    proportional_thresholds(path, 1)
+    with pytest.raises(PreconditionError) as info:
+        check_thresholds(path, proportional_thresholds(triangle, 1))
+    assert str(info.value) == "threshold of vertex 0 exceeds its degree (2 > 1)"
 
 
 def test_effective_rho_same_thresholds():

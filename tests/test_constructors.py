@@ -38,6 +38,7 @@ from dynmono.constructors import (
     rho_upper_bound,
 )
 from dynmono.generators import petersen
+from dynmono.seeding import shuffled_range
 from instances import adj_lists, caterpillar, double_star, girth5_instance, gnp, spider, star_with_tail
 from oracles import abw_seed_reference, greedy_kernel_reference, naive_is_monopoly, tree_construct_reference
 
@@ -82,6 +83,16 @@ def test_abw_construct_matches_per_vertex_reference(case, rng_seed):
     order = list(range(g.n))
     random.Random(rng_seed).shuffle(order)
     assert abw_construct(g, phi, rng_seed).seed == abw_seed_reference(g, phi, order)
+
+
+def test_abw_order_is_random_shuffle():
+    # the inlined Fisher-Yates draws what random.Random.shuffle draws, around every power of two included
+    seeds = [*range(16), 2**31 - 1, 2**32, 2**64 - 1, 12345678901234567890123]
+    for n in [*range(65), 1000, 2047, 2048, 2049, 10**4]:
+        for rng_seed in seeds:
+            order = list(range(n))
+            random.Random(rng_seed).shuffle(order)
+            assert shuffled_range(n, rng_seed) == order, (n, rng_seed)
 
 
 def test_abw_construct_refuses_bad_profile():

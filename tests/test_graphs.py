@@ -249,10 +249,55 @@ def test_girth_against_enumeration():
 
 
 def test_girth_search_stops_at_its_cut_off():
-    # girth_at_least_five is the girth search started at best = 5: it returns 5 without looking for longer cycles
+    # the girth search started at best = 5 returns 5 without looking for longer cycles
     assert graphs_mod._shortest_cycle(generate(GeneratorSpec("cycle", 7)), 5) == 5
     assert graphs_mod._shortest_cycle(generate(GeneratorSpec("path", 7)), 5) == 5
     assert graphs_mod._shortest_cycle(generate(GeneratorSpec("cycle", 4)), 5) == 4
+
+
+def _agrees_with_the_girth_search(g) -> bool:
+    """The disjointness test, fresh and cached, against the girth search cut off at five; returns the answer."""
+    expected = graphs_mod._shortest_cycle(g, 5) >= 5
+    assert graphs_mod._short_cycle_free(g) == girth_at_least_five(g) == expected
+    return expected
+
+
+def test_girth_at_least_five_matches_the_girth_search_on_the_atlas():
+    import networkx as nx
+
+    answers = [_agrees_with_the_girth_search(from_edges(a.number_of_nodes(), a.edges())) for a in nx.graph_atlas_g()]
+    assert len(answers) == 1253 and 0 < answers.count(False) < 1253
+
+
+def test_girth_at_least_five_on_forests():
+    rng = random.Random(8)
+    for seed in range(20):
+        trees = [generate(GeneratorSpec("random_tree", rng.randint(1, 60), rng_seed=seed + 100 * k)) for k in range(3)]
+        edges, offset = [], 0
+        for t in trees:
+            edges.extend((u + offset, v + offset) for u, v in t.edges())
+            offset += t.n
+        forest = from_edges(offset + rng.randint(0, 3), edges)  # a few isolated vertices too
+        assert _agrees_with_the_girth_search(forest)
+    for family in ("path", "star"):
+        assert _agrees_with_the_girth_search(generate(GeneratorSpec(family, 40)))
+
+
+def test_girth_at_least_five_with_planted_short_cycles():
+    # a girth-5 graph with a 3-, 4- or 5-cycle planted on random vertices: the first two always fail the test,
+    # a 5-cycle may close a shorter one through the graph's edges
+    rng = random.Random(21)
+    verdicts = {3: set(), 4: set(), 5: set()}
+    for seed in range(30):
+        n = rng.randint(40, 120)
+        g = generate(GeneratorSpec("random_girth5", n, p=rng.choice((3, 8)) / n, rng_seed=seed))
+        assert _agrees_with_the_girth_search(g)
+        for length in (3, 4, 5):
+            ring = rng.sample(range(g.n), length)
+            planted = {(min(u, v), max(u, v)) for u, v in zip(ring, ring[1:] + ring[:1])}
+            h = from_edges(g.n, set(g.edges()) | planted)
+            verdicts[length].add(_agrees_with_the_girth_search(h))
+    assert verdicts == {3: {False}, 4: {False}, 5: {True, False}}
 
 
 def test_girth_acyclic_inputs():
