@@ -6,10 +6,9 @@ adding cells to a config never perturbs existing cells.  A method whose seed
 record has no ``rng_seed`` drew no random bits: its cell stops after one
 trial.  The trials of a girth5 cell share one greedy kernel per (graph, rho,
 delta), cached by ``girth5_construct``; only the sampling rounds draw per
-trial.  Every emitted row is re-verified on a fresh cascade from its seed, its
-ids range-checked and its threshold profile checked once per (graph, rho); an
-invalid construction aborts the run.  Cells whose preconditions fail are
-recorded as skipped, not errors.
+trial.  Every emitted row is re-verified by ``is_monopoly`` on a fresh cascade
+from its seed; an invalid construction aborts the run.  Cells whose
+preconditions fail are recorded as skipped, not errors.
 ``load_config`` checks every field once: ``instances``, ``rhos`` and ``methods``
 must be lists, a method entry becomes its girth5 options, a ``path`` instance a
 Path resolved against the config's directory.
@@ -25,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .cascade import _seeded, check_thresholds, from_file, parse_rho, proportional_thresholds, to_number
+from .cascade import from_file, is_monopoly, parse_rho, proportional_thresholds, to_number
 from .constructors import BUILDERS, girth5_options
 from .errors import InputFormatError, PreconditionError
 from .exact import abw_bound
@@ -156,8 +155,7 @@ def run_bench(config: BenchConfig) -> BenchResult:
     for inst in config.instances:
         family, g = _load_instance(inst)
         for rho in config.rhos:
-            phi = proportional_thresholds(g, rho)
-            check_thresholds(g, phi)  # once per profile: each row below is verified on a fresh, unchecked state
+            phi = proportional_thresholds(g, rho)  # the cached profile: every check of it below is an identity test
             bound_abw = float(abw_bound(g, phi))
             rho_n = float(rho) * g.n
             for method in config.methods:
@@ -176,7 +174,7 @@ def run_bench(config: BenchConfig) -> BenchResult:
                         )
                         break
                     runtime_ms = int((time.perf_counter() - t0) * 1000)
-                    if _seeded(g, phi, ms.seed).size < g.n:
+                    if not is_monopoly(g, phi, ms.seed):
                         raise AssertionError(
                             f"bench integrity failure: {method.name} seed on {family} is not a monopoly"
                         )

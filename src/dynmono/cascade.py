@@ -8,9 +8,10 @@ hull is the whole vertex set is a dynamic monopoly (perfect target set).
 
 All propagation runs on one incremental engine, ``Cascade``: ``add(T)`` on
 a state closed at hull(S) leaves hull(S | T), since every closed superset of
-S | T contains hull(S) | T.  States keep residual needs and activation waves; ``hull``, the checked entry, is one
-add on a fresh state, and ``is_monopoly`` runs its checks without building its record.  The package runs states
-unchecked: constructor self-checks, the greedy kernel, and forks for girth5 attempts and exact-search prefixes.
+S | T contains hull(S) | T.  A state keeps the active set, residual needs and the active count; each add returns
+its own activation waves.  ``hull``, the checked entry, is one add on a fresh state, and ``is_monopoly`` runs its
+checks and counts that add's waves without building its record.  The package runs states unchecked: constructor
+self-checks, the greedy kernel, and forks for girth5 attempts and exact-search prefixes.
 
 Thresholds of the proportional family are phi(u) = ceil(rho * deg(u)) for a
 rational rho in (0, 1].  All threshold arithmetic is exact: rho is a
@@ -20,7 +21,6 @@ the tight cases (rho * deg integral) are never corrupted by float rounding.
 
 from __future__ import annotations
 
-import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -111,15 +111,14 @@ def check_thresholds(g: Graph, phi: Thresholds) -> None:
 
     Profiles with phi(u) > deg(u) are rejected rather than given ad-hoc
     semantics: such a vertex could never activate by cascade.  A profile that
-    ``proportional_thresholds`` cached on g, the same object, passes unwalked.
+    ``proportional_thresholds`` cached on g, the same object, passes unwalked;
+    any other is walked, and the first bad vertex is named.
     """
     if any(phi is t for t in g._profiles.values()):  # ceil(rho * d) lies in [0, d]
         return
     if len(phi) != g.n:
         raise PreconditionError(f"threshold profile has length {len(phi)}, graph has {g.n} vertices")
-    if set(map(type, phi)) <= {int} and min(phi, default=0) >= 0 and all(map(operator.le, phi, g.degrees)):
-        return
-    for u, (t, d) in enumerate(zip(phi, g.degrees)):  # name the first bad vertex
+    for u, (t, d) in enumerate(zip(phi, g.degrees)):
         if not isinstance(t, int) or isinstance(t, bool):
             raise PreconditionError(f"threshold of vertex {u} is not an integer: {t!r}")
         if t < 0:
@@ -150,11 +149,11 @@ class CascadeResult:
 
 
 class Cascade:
-    """Active set, residual needs and activation waves on one graph and threshold profile.
+    """Active set, residual needs and active count on one graph and threshold profile.
 
     ``need[u]`` is phi(u) less u's active neighbours while u is inactive (0 once seeded), so u is queued once, at 0;
-    ``waves`` holds each add's ``(round, vertices)``, rounds from 0; ``size`` counts the active.  Each add costs the
-    degrees of the vertices it activates and ends on the hull of all seeds so far.  Ids and thresholds go unchecked.
+    ``size`` counts the active.  Each add costs the degrees of the vertices it activates and ends on the hull of all
+    seeds so far.  Ids and thresholds go unchecked.
     """
 
     def __init__(self, g: Graph, phi: Thresholds):
@@ -162,24 +161,23 @@ class Cascade:
         self.phi = phi
         self.active = bytearray(g.n)
         self.need = list(phi)
-        self.waves: list[tuple[int, list[int]]] = []
         self.size = 0
         self._zero = [u for u, t in enumerate(phi) if t <= 0] if min(phi, default=1) <= 0 else None
 
     def fork(self) -> Cascade:
-        """An independent copy of this state: adds to either leave the other as it was (no wave list is mutated)."""
+        """An independent copy of this state: adds to either leave the other as it was."""
         twin = Cascade.__new__(Cascade)
         twin.adj, twin.phi, twin._zero, twin.size = self.adj, self.phi, self._zero, self.size
-        twin.active, twin.need, twin.waves = self.active[:], self.need[:], self.waves[:]
+        twin.active, twin.need = self.active[:], self.need[:]
         return twin
 
-    def add(self, seeds: Iterable[int]) -> int:
-        """Activate ``seeds``, close under the thresholds and return the active count.
+    def add(self, seeds: Iterable[int]) -> list[list[int]]:
+        """Activate ``seeds``, close under the thresholds and return this add's waves, round r at index r.
 
         Rounds count the synchronous waves of this add: new seeds are round
         0, and vertices with phi = 0 join at round 1 of the first add.
         """
-        adj, active, need, waves = self.adj, self.active, self.need, self.waves
+        adj, active, need = self.adj, self.active, self.need
         wave = []
         for u in seeds:
             if not active[u]:
@@ -189,9 +187,9 @@ class Cascade:
         # a vertex is ready once: phi = 0 ones here, the rest when their need reaches 0
         ready = [u for u in self._zero if not active[u]] if self._zero else []
         self._zero = None
-        generation = 0
+        waves = []
         while True:
-            waves.append((generation, wave))
+            waves.append(wave)
             self.size += len(wave)
             for u in wave:
                 for v in adj[u]:
@@ -200,40 +198,35 @@ class Cascade:
                     if not k:
                         ready.append(v)
             if not ready:
-                return self.size
+                return waves
             wave, ready = ready, []  # the order within a wave changes no vertex's round
-            generation += 1
             for u in wave:
                 active[u] = 1
 
 
-def _closed(g: Graph, phi: Thresholds, seed: Iterable[int]) -> Cascade:
-    """A fresh state closed at the hull of ``seed``, after ``hull``'s checks of thresholds and ids."""
+def _closed(g: Graph, phi: Thresholds, seed: Iterable[int]) -> list[list[int]]:
+    """The waves of one add of ``seed`` on a fresh state, after ``hull``'s checks of thresholds and ids."""
     check_thresholds(g, phi)
-    return _seeded(g, phi, seed)
-
-
-def _seeded(g: Graph, phi: Thresholds, seed: Iterable[int]) -> Cascade:
-    """A fresh state closed at the hull of ``seed``, after a range check of its ids; for thresholds checked before."""
-    seed_list = sorted(set(seed))
+    ids = tuple(seed)
+    if not set(map(type, ids)) <= {int}:  # bools and floats included: name the first such id
+        bad = next(u for u in ids if type(u) is not int)
+        raise PreconditionError(f"seed id {bad!r} is not an integer")
+    seed_list = sorted(set(ids))
     if seed_list and (seed_list[0] < 0 or seed_list[-1] >= g.n):
         raise PreconditionError(f"seed contains ids outside 0..{g.n - 1}")
-    state = Cascade(g, phi)
-    state.add(seed_list)
-    return state
+    return Cascade(g, phi).add(seed_list)
 
 
 def hull(g: Graph, phi: Thresholds, seed: Iterable[int]) -> CascadeResult:
     """The activation hull of ``seed``, thresholds and ids checked: one ``Cascade.add`` on a fresh state.
     Vertices with phi = 0 are in every hull and join at round 1 unless seeded."""
-    state = _closed(g, phi, seed)
-    rounds = {u: r for r, wave in state.waves for u in wave}
-    return CascadeResult(active=frozenset(rounds), rounds=rounds, is_monopoly=state.size == g.n)
+    rounds = {u: r for r, wave in enumerate(_closed(g, phi, seed)) for u in wave}
+    return CascadeResult(active=frozenset(rounds), rounds=rounds, is_monopoly=len(rounds) == g.n)
 
 
 def is_monopoly(g: Graph, phi: Thresholds, seed: Iterable[int]) -> bool:
     """True iff the hull of ``seed`` covers every vertex: ``hull``'s checks, without building its record."""
-    return _closed(g, phi, seed).size == g.n
+    return sum(map(len, _closed(g, phi, seed))) == g.n
 
 
 def parse_seed_set(text: str, n: int) -> tuple[int, ...]:

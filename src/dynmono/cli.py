@@ -61,7 +61,7 @@ def cmd_hull(args) -> int:
 def cmd_verify(args) -> int:
     g = from_file(args.graph, "graph", parse_graph)
     phi = proportional_thresholds(g, parse_rho(args.rho))
-    size = _closed(g, phi, from_file(args.seed_set, "seed", lambda text: parse_seed_set(text, g.n))).size
+    size = sum(map(len, _closed(g, phi, from_file(args.seed_set, "seed", lambda text: parse_seed_set(text, g.n)))))
     if size == g.n:
         print("monopoly: true")
     else:

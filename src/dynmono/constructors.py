@@ -41,7 +41,6 @@ from __future__ import annotations
 import heapq
 import math
 import random
-import weakref
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -232,7 +231,9 @@ class MonopolySeed:
 def _verified(g: Graph, phi: Thresholds, method: str, seed: tuple[int, ...], params: dict,
               trace: Girth5Trace | None = None) -> MonopolySeed:
     """The seed's record, marked verified once a fresh Cascade from the seed covers the graph."""
-    if Cascade(g, phi).add(seed) < g.n:
+    state = Cascade(g, phi)
+    state.add(seed)
+    if state.size < g.n:
         raise AssertionError(f"{method} produced a non-monopoly seed")
     return MonopolySeed(method=method, seed=seed, params=params, verified=True, trace=trace)
 
@@ -303,15 +304,10 @@ def greedy_kernel(
     return tuple(kernel)
 
 
-# Graph -> {(rho, delta): (kernel, phi, the kernel's closed Cascade, the vertices outside its hull)}: the
-# deterministic prefix of girth5_construct, built once per (graph, rho, delta).  Keys are weak, so an entry goes
-# with the graph that made it (equal graphs share it), and values hold g.adj, never g.  Nothing adds to a cached
-# Cascade: _sampling_rounds extends a fork of it, so every attempt and every call starts from the same state.
-_PREFIXES: weakref.WeakKeyDictionary[Graph, dict] = weakref.WeakKeyDictionary()
-
-
 def _girth5_prefix(g: Graph, r: Fraction, d: Fraction) -> tuple[tuple[int, ...], Thresholds, Cascade, tuple[int, ...]]:
-    prefixes = _PREFIXES.setdefault(g, {})
+    """girth5's deterministic prefix, cached on ``g`` per (rho, delta): the kernel, phi, the kernel's closed Cascade
+    and the vertices outside its hull.  Nothing adds to the cached Cascade: every attempt extends a fork of it."""
+    prefixes = g._girth5_prefixes
     if (r, d) not in prefixes:
         kernel = greedy_kernel(g, r, d)  # also checks max degree >= 1/rho; a refusal caches nothing
         phi = proportional_thresholds(g, r)
@@ -333,22 +329,21 @@ def _sampling_rounds(
 ) -> tuple[tuple[int, ...], tuple[RoundRecord, ...], bool]:
     """One full run of the random rounds, extending a fork of ``base``, the kernel's closed cascade."""
     state = base.fork()
-    size = state.size
     seed, raw = list(kernel), list(kernel)
     records: list[RoundRecord] = []
-    while size < g.n and len(records) < max_rounds:
+    while state.size < g.n and len(records) < max_rounds:
         xi = [u for u in pool if rng.random() < p1]
         yi = tuple(u for u in xi if not state.active[u])
         seed.extend(yi)
         raw.extend(xi)
-        size = state.add(yi)
+        state.add(yi)
         # discarded samples are exactly the absorbed ones: a from-scratch hull of kernel + raw samples must agree
         check = Cascade(g, state.phi)
         check.add(raw)
         if check.active != state.active:
             raise AssertionError("raw-sample hull diverged from seed hull")
-        records.append(RoundRecord(sampled=len(xi), added=yi, hull_size=size))
-    fallback = size < g.n  # then every vertex still inactive is added
+        records.append(RoundRecord(sampled=len(xi), added=yi, hull_size=state.size))
+    fallback = state.size < g.n  # then every vertex still inactive is added
     if fallback:
         seed.extend(u for u in range(g.n) if not state.active[u])
     return tuple(sorted(seed)), tuple(records), fallback
@@ -386,11 +381,11 @@ def girth5_construct(
     fresh stream, keeping the best attempt.
 
     The deterministic prefix (the greedy kernel, phi, the kernel's closed
-    Cascade and the vertices outside its hull) is cached per (graph, rho,
-    delta) for as long as the graph lives, so repeated calls on one graph,
-    such as a bench cell's trials, build the kernel once and only the
-    sampling rounds draw per call.  The preconditions are checked on every
-    call, in the same order.
+    Cascade and the vertices outside its hull) is cached on the graph per
+    (rho, delta), so repeated calls on one graph object, such as a bench
+    cell's trials, build the kernel once and only the sampling rounds draw
+    per call; an equal but distinct graph builds its own.  The
+    preconditions are checked on every call, in the same order.
 
     The theoretical validity flags (delta within cap, rho within the proven
     range, growth constant within 2+epsilon) are reported in ``params``;

@@ -30,8 +30,9 @@ class Graph:
     count equals half the sum of the degrees.  Instances are immutable and
     safe to share read-only across concurrent workers.  Facts computed from
     the adjacency are cached on first use: ``degrees``, ``m``,
-    ``max_degree``, ``girth_at_least_five``, ``is_connected``, the hash and
-    one proportional threshold profile per rho.
+    ``max_degree``, ``girth_at_least_five``, ``is_connected``, one
+    proportional threshold profile per rho and one girth5 prefix per
+    (rho, delta).
     """
 
     n: int
@@ -52,10 +53,7 @@ class Graph:
     girth_at_least_five = cached_property(lambda self: _short_cycle_free(self))
     is_connected = cached_property(lambda self: len(connected_components(self)) <= 1)
     _profiles = cached_property(lambda self: {})  # rho -> proportional threshold profile, see cascade
-    _hash = cached_property(lambda self: hash((self.n, self.adj)))
-
-    def __hash__(self) -> int:  # the dataclass's hash of (n, adj), walked once per graph
-        return self._hash
+    _girth5_prefixes = cached_property(lambda self: {})  # (rho, delta) -> girth5's kernel prefix, see constructors
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges (u, v) with u < v in ascending lexicographic order."""
@@ -217,54 +215,17 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, in
 
 
 def girth(g: Graph) -> int | float:
-    """Length of a shortest cycle, or ACYCLIC when g has none."""
-    return _shortest_cycle(g, ACYCLIC)
-
-
-def girth_at_least_five(g: Graph) -> bool:
-    """Exact test for girth >= 5, cached on ``g``.  For each 2-core vertex u (a forest has none), the neighbor lists
-    of u's neighbors may meet only in u and must miss u's neighbors: a vertex met twice closes a 4-cycle through u,
-    a neighbor of u met closes a triangle.  One set build per vertex: sum(deg^2) work at builtin speed."""
-    return g.girth_at_least_five
-
-
-def _short_cycle_free(g: Graph) -> bool:
-    adj, degrees = g.adj, g.degrees
-    for u in compress(range(g.n), _two_core(g)):
-        nbrs = adj[u]  # with no short cycle through u the set holds nbrs, u and the others met once: sum(deg) + 1
-        if len(set(chain(nbrs, *map(adj.__getitem__, nbrs)))) <= sum(map(degrees.__getitem__, nbrs)):
-            return False
-    return True
-
-
-def _two_core(g: Graph) -> bytearray:
-    """The 2-core as a 0/1 mask: vertices of degree at most one peeled with a stack, in O(n+m)."""
-    adj, deg = g.adj, list(g.degrees)
-    core = bytearray(d > 1 for d in deg)
-    stack = [u for u, d in enumerate(deg) if d <= 1]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if core[v]:
-                deg[v] -= 1
-                if deg[v] <= 1:
-                    core[v] = 0
-                    stack.append(v)
-    return core
-
-
-def _shortest_cycle(g: Graph, best: int | float) -> int | float:
-    """The girth of g when it is below ``best``, else ``best``.
+    """Length of a shortest cycle, or ACYCLIC when g has none.
 
     Every cycle lies in the 2-core (:func:`_two_core`), so a forest returns
     without any search.  On the core, BFS from every core vertex, ignoring
     peeled neighbors, and record the shortest cycle through the root.  A BFS
-    is cut off once it can no longer find a cycle shorter than ``best``, the
-    shortest seen so far, so girth-3 and girth-4 graphs resolve quickly and
-    a bounded ``best`` bounds every search.
+    is cut off once it can no longer find a cycle shorter than the shortest
+    seen so far, so girth-3 and girth-4 graphs resolve quickly.
     """
     n, adj = g.n, g.adj
     core = _two_core(g)
+    best = ACYCLIC
     if not any(core):
         return best
     dist = [-1] * n
@@ -300,3 +261,34 @@ def _shortest_cycle(g: Graph, best: int | float) -> int | float:
             parent[u] = -1
     return best
 
+
+def girth_at_least_five(g: Graph) -> bool:
+    """Exact test for girth >= 5, cached on ``g``.  For each 2-core vertex u (a forest has none), the neighbor lists
+    of u's neighbors may meet only in u and must miss u's neighbors: a vertex met twice closes a 4-cycle through u,
+    a neighbor of u met closes a triangle.  One set build per vertex: sum(deg^2) work at builtin speed."""
+    return g.girth_at_least_five
+
+
+def _short_cycle_free(g: Graph) -> bool:
+    adj, degrees = g.adj, g.degrees
+    for u in compress(range(g.n), _two_core(g)):
+        nbrs = adj[u]  # with no short cycle through u the set holds nbrs, u and the others met once: sum(deg) + 1
+        if len(set(chain(nbrs, *map(adj.__getitem__, nbrs)))) <= sum(map(degrees.__getitem__, nbrs)):
+            return False
+    return True
+
+
+def _two_core(g: Graph) -> bytearray:
+    """The 2-core as a 0/1 mask: vertices of degree at most one peeled with a stack, in O(n+m)."""
+    adj, deg = g.adj, list(g.degrees)
+    core = bytearray(d > 1 for d in deg)
+    stack = [u for u, d in enumerate(deg) if d <= 1]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if core[v]:
+                deg[v] -= 1
+                if deg[v] <= 1:
+                    core[v] = 0
+                    stack.append(v)
+    return core

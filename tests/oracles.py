@@ -129,7 +129,9 @@ def min_monopoly_exhaustive_reference(g: Graph, phi) -> tuple[int, tuple[int, ..
     for k in range(g.n + 1):
         for cand in combinations(range(g.n), k):
             explored += 1
-            if Cascade(g, phi).add(cand) == g.n:
+            state = Cascade(g, phi)
+            state.add(cand)
+            if state.size == g.n:
                 return k, cand, explored
     raise AssertionError("unreachable")
 

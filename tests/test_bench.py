@@ -8,7 +8,9 @@ import pytest
 
 from dynmono import InputFormatError, load_config, run_bench, serialize_graph, write_csv
 from dynmono.bench import CSV_COLUMNS, MethodSpec, BenchConfig
+from dynmono.constructors import MonopolySeed
 from dynmono import GeneratorSpec, generate, girth5_params
+from dynmono import bench as bench_mod
 from dynmono import constructors as constructors_mod
 from dynmono import graphs as graphs_mod
 
@@ -196,6 +198,27 @@ def test_girth5_scan_runs_once_per_instance(monkeypatch):
     assert len(scans) == 1
     assert len(searches) == 1
     assert kernels == [Fraction(1, 2), Fraction(1, 4)]
+
+
+def test_rows_are_checked_by_is_monopoly(monkeypatch):
+    # each row's seed goes through the checked entry once, and a builder's non-monopoly still aborts the sweep
+    checks = []
+    check = bench_mod.is_monopoly
+    monkeypatch.setattr(bench_mod, "is_monopoly", lambda g, phi, seed: checks.append(len(seed)) or check(g, phi, seed))
+    config = BenchConfig(
+        instances=(GeneratorSpec("petersen"), GeneratorSpec("path", 9)),
+        rhos=(Fraction(1, 3), Fraction(1, 2)),
+        methods=(MethodSpec("v2"), MethodSpec("abw")),
+        trials=3,
+    )
+    result = run_bench(config)
+    assert len(result.rows) == 2 * 2 * (1 + 3)
+    assert checks == [row["seed_size"] for row in result.rows]
+    monkeypatch.setitem(constructors_mod.BUILDERS, "v2", lambda g, rho, rng_seed, **_: MonopolySeed("v2", ()))
+    config = BenchConfig(instances=(GeneratorSpec("petersen"),), rhos=(Fraction(1, 3),), methods=(MethodSpec("v2"),))
+    with pytest.raises(AssertionError, match="^bench integrity failure: v2 seed on petersen is not a monopoly$"):
+        run_bench(config)
+    assert checks[-1] == 0
 
 
 def test_skipped_cells_record_reason():

@@ -261,16 +261,14 @@ def test_cascade_invariants_over_chunked_adds():
         adj, state, before = adj_lists(g), Cascade(g, phi), set()
         for _ in range(rng.randint(1, 4)):
             chunk = [rng.randrange(g.n) for _ in range(rng.randint(0, 3))] if g.n else []
-            start = len(state.waves)
-            size = state.add(chunk)
-            waves = state.waves[start:]
-            # each add's waves restart at round 0 and are the synchronous rounds from the old hull plus the chunk
-            assert [r for r, _ in waves] == list(range(len(waves)))
+            waves = state.add(chunk)
+            # an add returns its own waves, round r at index r: the synchronous rounds from the old hull plus the chunk
+            assert waves and all(waves[1:])
             joined = {u: r for u, r in naive_rounds(adj, phi, before | set(chunk)).items() if u not in before}
-            assert {u: r for r, wave in waves for u in wave} == joined
+            assert {u: r for r, wave in enumerate(waves) for u in wave} == joined
             active = {u for u in range(g.n) if state.active[u]}
             assert active == before | joined.keys()
-            assert size == state.size == sum(state.active) == len(active)
+            assert state.size == sum(state.active) == len(active) == len(before) + sum(map(len, waves))
             for u in set(range(g.n)) - active:
                 assert state.need[u] == phi[u] - sum(v in active for v in adj[u])
             before = active
@@ -278,7 +276,7 @@ def test_cascade_invariants_over_chunked_adds():
 
 def test_fork_and_parent_stay_apart():
     def snapshot(state: Cascade):
-        return bytes(state.active), list(state.need), [(r, list(wave)) for r, wave in state.waves], state.size
+        return bytes(state.active), list(state.need), state.size
 
     rng = random.Random(37)
     for _ in range(150):
@@ -311,6 +309,11 @@ def test_is_monopoly_checks_as_hull_does():
         ((1, 3, 1), [5], "threshold of vertex 1 exceeds its degree (3 > 2)"),
         ((1, 1, 1), [3], "seed contains ids outside 0..2"),
         ((1, 1, 1), [0, -1], "seed contains ids outside 0..2"),
+        ((1, 1, 1), [True, 2], "seed id True is not an integer"),
+        ((1, 1, 1), [1, True], "seed id True is not an integer"),
+        ((1, 1, 1), [1.5], "seed id 1.5 is not an integer"),
+        ((1, 1, 1), [2.0, 9], "seed id 2.0 is not an integer"),
+        ((1, 1, 1), [1, "1"], "seed id '1' is not an integer"),
     ):
         for run in (hull, is_monopoly):
             with pytest.raises(PreconditionError) as info:

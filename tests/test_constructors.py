@@ -426,14 +426,14 @@ def test_girth5_each_attempt_starts_from_the_kernel_hull():
 
 
 def test_girth5_kernel_cache_matches_fresh_graphs(monkeypatch):
-    # the prefix is cached per (graph, rho, delta): interleaved calls on two live graphs must give the records
-    # of calls on fresh equal graphs, each made while no equal graph has a cache entry, so each of those misses
+    # the prefix is cached on the graph per (rho, delta): interleaved calls on two live graphs must give the
+    # records of calls on fresh equal graphs, each of which starts with no cache and builds its own prefix
     sources = [girth5_instance(70, 2.5, seed=55), girth5_instance(80, 2.5, seed=77)]
     calls = [(i, rho, delta, s) for s in (1, 2) for delta in ("1/2", "1/5") for rho in ("1/3", "1/4") for i in (0, 1)]
 
     def fresh(i):
         g = from_edges(sources[i].n, sources[i].edges())
-        assert g not in constructors_mod._PREFIXES
+        assert "_girth5_prefixes" not in vars(g)
         return g
 
     def run(graph, rho, delta, s):
@@ -452,25 +452,29 @@ def test_girth5_kernel_cache_matches_fresh_graphs(monkeypatch):
 
 
 
-def test_girth5_kernel_cache_is_shared_by_equal_graphs(monkeypatch):
-    g = girth5_instance(65, 2.5, seed=93)  # no other test builds this graph, so no equal graph holds the entry
+def test_girth5_kernel_cache_lives_on_its_graph(monkeypatch):
+    g = girth5_instance(65, 2.5, seed=93)
     twin = from_edges(g.n, g.edges())
-    assert twin == g and twin is not g and hash(twin) == hash(g) and g not in constructors_mod._PREFIXES
+    assert twin == g and twin is not g
     builds = []
     kernel = constructors_mod.greedy_kernel
     monkeypatch.setattr(constructors_mod, "greedy_kernel", lambda g, r, d: builds.append(g) or kernel(g, r, d))
     first = girth5_construct(g, "1/3", delta="1/2", rng_seed=1)
-    assert twin in constructors_mod._PREFIXES
-    assert girth5_construct(twin, "1/3", delta="1/2", rng_seed=1) == first and builds == [g]
+    assert list(vars(g)["_girth5_prefixes"]) == [(Fraction(1, 3), Fraction(1, 2))]
+    assert "_girth5_prefixes" not in vars(twin)  # an equal graph shares no cache: it builds its own kernel
+    assert girth5_construct(twin, "1/3", delta="1/2", rng_seed=1) == first
+    assert girth5_construct(g, "1/3", delta="1/2", rng_seed=1) == first
+    assert len(builds) == 2 and builds[0] is g and builds[1] is twin
+
 
 def test_girth5_kernel_cache_drops_its_graph():
-    g = girth5_instance(60, 2.5, seed=91)  # no other test builds this graph, so no equal graph holds the entry
+    g = girth5_instance(60, 2.5, seed=91)
     girth5_construct(g, "1/3", delta="1/2", rng_seed=1)
-    assert g in constructors_mod._PREFIXES
+    assert (Fraction(1, 3), Fraction(1, 2)) in vars(g)["_girth5_prefixes"]
     ref = weakref.ref(g)
     del g
     gc.collect()
-    assert ref() is None
+    assert ref() is None  # nothing outside the graph, such as a module-level table, keeps it alive
 
 
 def test_girth5_preconditions():
