@@ -9,7 +9,9 @@ hull is the whole vertex set is a dynamic monopoly (perfect target set).
 All propagation runs on one incremental engine, ``Cascade``: ``add(T)`` on
 a state closed at hull(S) leaves hull(S | T), since every closed superset of
 S | T contains hull(S) | T.  A state keeps the active set, residual needs and the active count; each add returns
-its own activation waves.  ``hull``, the checked entry, is one add on a fresh state, and ``is_monopoly`` runs its
+its own activation waves.  A need of 0 marks a settled vertex (seeded, queued or active): a relaxation reads it and
+counts down only a waiting vertex, and an add returns once every vertex is active, so it costs the degrees of the
+vertices it activates.  ``hull``, the checked entry, is one add on a fresh state, and ``is_monopoly`` runs its
 checks and counts that add's waves without building its record.  The package runs states unchecked: constructor
 self-checks, the greedy kernel, and forks for girth5 attempts and exact-search prefixes.
 
@@ -151,9 +153,10 @@ class CascadeResult:
 class Cascade:
     """Active set, residual needs and active count on one graph and threshold profile.
 
-    ``need[u]`` is phi(u) less u's active neighbours while u is inactive (0 once seeded), so u is queued once, at 0;
-    ``size`` counts the active.  Each add costs the degrees of the vertices it activates and ends on the hull of all
-    seeds so far.  Ids and thresholds go unchecked.
+    ``need[u]`` is phi(u) less u's active neighbours while u waits, and 0 once u is settled (seeded, queued or
+    active; phi = 0 starts settled): u is queued once, on the hit that brings it to 0, and no later hit moves it.
+    Once an add returns, ``need[u] == 0`` iff ``active[u]``; ``size`` counts the active.  Each add costs the degrees
+    of the vertices it activates and ends on the hull of all seeds so far.  Ids and thresholds go unchecked.
     """
 
     def __init__(self, g: Graph, phi: Thresholds):
@@ -175,7 +178,9 @@ class Cascade:
         """Activate ``seeds``, close under the thresholds and return this add's waves, round r at index r.
 
         Rounds count the synchronous waves of this add: new seeds are round
-        0, and vertices with phi = 0 join at round 1 of the first add.
+        0, and vertices with phi = 0 join at round 1 of the first add.  A
+        neighbour hit reads need[v] and counts it down only while v waits; the
+        add returns as soon as every vertex is active, before relaxing that wave.
         """
         adj, active, need = self.adj, self.active, self.need
         wave = []
@@ -187,16 +192,19 @@ class Cascade:
         # a vertex is ready once: phi = 0 ones here, the rest when their need reaches 0
         ready = [u for u in self._zero if not active[u]] if self._zero else []
         self._zero = None
-        waves = []
+        waves, n = [], len(active)
         while True:
             waves.append(wave)
             self.size += len(wave)
+            if self.size == n:
+                return waves
             for u in wave:
                 for v in adj[u]:
-                    k = need[v] - 1
-                    need[v] = k
-                    if not k:
-                        ready.append(v)
+                    k = need[v]
+                    if k:  # waiting: count down; a settled vertex (need 0) costs this one read
+                        need[v] = k - 1
+                        if k == 1:
+                            ready.append(v)
             if not ready:
                 return waves
             wave, ready = ready, []  # the order within a wave changes no vertex's round

@@ -10,7 +10,8 @@ and r picks still to make:
 - a vertex in H is never picked: a seed holding one stays a monopoly
   without it, so it is not minimum;
 - a vertex u outside H waits for phi'(u) = ``need[u]`` more active neighbours (phi(u)
-  less those it has), and an edge inside V - H serves only one endpoint, so
+  less those it has; once an add returns, need is positive exactly outside H,
+  so the cuts read ``need`` alone), and an edge inside V - H serves only one endpoint, so
   the remaining picks must carry phi' summing to at least
   sum(phi') - m(V - H); a prefix whose later ids cannot is dropped;
 - if phi'(u) > r for every u outside H, the prefix is dropped: phi'(u) is at
@@ -69,16 +70,14 @@ def min_monopoly_exact(
 
     def viable(state: Cascade, last: int, r: int) -> bool:
         """False when the rules above prove that no r picks after id ``last`` complete ``state``."""
-        active, need = state.active, state.need
         if r == 0:
             return state.size == n
         # the edge bound, doubled: 2 m(V - H) is the sum of deg(u) - phi(u) + phi'(u) over u outside H,
         # so twice the need is the sum of 2 phi'(u) - (deg(u) - phi(u) + phi'(u)) = phi'(u) - (deg(u) - phi(u));
         # least is the smallest phi'(u) outside H, for the first-activation rule
         twice_need, later, least = 0, [], n
-        for u in range(n):
-            if not active[u]:
-                k = need[u]
+        for u, k in enumerate(state.need):
+            if k:  # after an add, need is 0 exactly on the hull
                 twice_need += k - slack[u]
                 if k < least:
                     least = k

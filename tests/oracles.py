@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive (full rescans, exhaustive enumeration,
 one rebuilt subtree per split) and shares no algorithm with the package
-internals it checks.
+internals it checks, except ``DecrementingCascade``: the cascade engine as it
+was before need 0 marked settled vertices, kept to pin the order of its waves.
 """
 
 from __future__ import annotations
@@ -134,6 +135,40 @@ def min_monopoly_exhaustive_reference(g: Graph, phi) -> tuple[int, tuple[int, ..
             if state.size == g.n:
                 return k, cand, explored
     raise AssertionError("unreachable")
+
+
+class DecrementingCascade:
+    """``Cascade`` as it was before the settled mark: every neighbour hit decrements need, an active or queued
+    endpoint's too (its need goes negative), and an add relaxes its last wave even once every vertex is active.
+    Kept to pin the wave lists ``Cascade.add`` returns, order included."""
+
+    def __init__(self, g: Graph, phi):
+        self.adj, self.active, self.need, self.size = g.adj, bytearray(g.n), list(phi), 0
+        self._zero = [u for u, t in enumerate(phi) if t <= 0]
+
+    def add(self, seeds) -> list[list[int]]:
+        adj, active, need = self.adj, self.active, self.need
+        wave = []
+        for u in seeds:
+            if not active[u]:
+                active[u] = 1
+                need[u] = 0
+                wave.append(u)
+        ready, self._zero = [u for u in self._zero if not active[u]], []
+        waves = []
+        while True:
+            waves.append(wave)
+            self.size += len(wave)
+            for u in wave:
+                for v in adj[u]:
+                    need[v] -= 1
+                    if not need[v]:
+                        ready.append(v)
+            if not ready:
+                return waves
+            wave, ready = ready, []
+            for u in wave:
+                active[u] = 1
 
 
 def girth_by_enumeration(n: int, edges) -> int | None:

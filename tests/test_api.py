@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
 import dynmono
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def _section(title: str) -> str:
@@ -30,3 +32,14 @@ def test_quick_start_imports_are_exported():
     block = re.search(r"from dynmono import \(([^)]*)\)", _section("Library quick start"))
     imported = re.findall(r"\w+", block.group(1))
     assert imported and set(imported) <= set(dynmono.__all__)
+
+
+def test_sources_parse_as_the_oldest_supported_python():
+    # syntax newer than requires-python fails here, not only on the oldest CI leg
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    oldest = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups()))
+    assert oldest == (3, 10)
+    files = sorted((ROOT / "src" / "dynmono").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    assert len(files) > 20
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=oldest)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from dynmono import (
     is_monopoly,
     parse_rho,
     proportional_thresholds,
+    random_girth5,
     to_fraction,
     v2_baseline,
 )
@@ -24,7 +26,7 @@ from dynmono.constructors import greedy_kernel
 from dynmono.generators import petersen
 from dynmono.graphs import connected_components
 from instances import adj_lists, gnp
-from oracles import hull_active_shuffled, naive_hull, naive_rounds, parse_seed_set_reference
+from oracles import DecrementingCascade, hull_active_shuffled, naive_hull, naive_rounds, parse_seed_set_reference
 
 
 def test_parse_rho():
@@ -254,14 +256,26 @@ def test_hull_rounds_match_synchronous_reference():
     assert hull(p3, (0, 2, 1), [2]).rounds == {2: 0, 0: 1, 1: 2}
 
 
+def _assert_settled(state: Cascade) -> None:
+    """Once an add returns, need is 0 exactly on the active set (phi = 0 vertices and repeated seeds included)."""
+    assert [not k for k in state.need] == [bool(a) for a in state.active]
+
+
+def _chunk(rng: random.Random, n: int) -> list[int]:
+    """Up to three random ids, with an id repeated one time in four."""
+    chunk = [rng.randrange(n) for _ in range(rng.randint(0, 3))] if n else []
+    return chunk + chunk[:1] if rng.random() < 0.25 else chunk
+
+
 def test_cascade_invariants_over_chunked_adds():
     rng = random.Random(31)
     for _ in range(200):
         g, phi = _random_case(rng)
         adj, state, before = adj_lists(g), Cascade(g, phi), set()
         for _ in range(rng.randint(1, 4)):
-            chunk = [rng.randrange(g.n) for _ in range(rng.randint(0, 3))] if g.n else []
+            chunk = _chunk(rng, g.n)
             waves = state.add(chunk)
+            _assert_settled(state)
             # an add returns its own waves, round r at index r: the synchronous rounds from the old hull plus the chunk
             assert waves and all(waves[1:])
             joined = {u: r for u, r in naive_rounds(adj, phi, before | set(chunk)).items() if u not in before}
@@ -283,20 +297,89 @@ def test_fork_and_parent_stay_apart():
         g, phi = _random_case(rng)
         if not g.n:
             continue
-        picks = [[rng.randrange(g.n) for _ in range(rng.randint(1, 3))] for _ in range(3)]
+        picks = [_chunk(rng, g.n) for _ in range(3)]
         parent = Cascade(g, phi)
         parent.add(picks[0])
         kept = snapshot(parent)
         twin = parent.fork()
         twin.add(picks[1])
+        _assert_settled(twin)
         twin.add(picks[2])
+        _assert_settled(twin)
         assert snapshot(parent) == kept
+        _assert_settled(parent)
         fresh = Cascade(g, phi)
         for chunk in picks:
             fresh.add(chunk)
         assert snapshot(twin) == snapshot(fresh)
         parent.add(picks[2])
+        _assert_settled(parent)
         assert snapshot(twin) == snapshot(fresh)
+        # a fork taken before the first add still activates the phi = 0 vertices on its own first add
+        early = Cascade(g, phi).fork()
+        early.add(())
+        _assert_settled(early)
+
+
+class _CountingAdj(list):
+    """An adjacency list that counts the vertices whose neighbours are read."""
+
+    reads = 0
+
+    def __getitem__(self, u):
+        self.reads += 1
+        return super().__getitem__(u)
+
+
+def _full_cover_waves(g, phi, seed) -> tuple[list[list[int]], int]:
+    """The waves of one add that covers V, and how many adjacency lists it read."""
+    state = Cascade(g, phi)
+    state.adj = _CountingAdj(g.adj)
+    waves = state.add(seed)
+    assert state.size == g.n
+    _assert_settled(state)
+    assert {u: r for r, wave in enumerate(waves) for u in wave} == naive_rounds(adj_lists(g), phi, seed)
+    return waves, state.adj.reads
+
+
+def test_add_returns_once_every_vertex_is_active():
+    pet = petersen()
+    phi = proportional_thresholds(pet, 1)
+    # the seed covers V at wave 0: no adjacency list is read
+    assert _full_cover_waves(pet, phi, range(10)) == ([list(range(10))], 0)
+    assert _full_cover_waves(pet, phi, [3, 1, 3, *range(10)]) == ([[3, 1, 0, 2, 4, 5, 6, 7, 8, 9]], 0)
+    # V is covered at a later wave: every wave but the last is relaxed
+    p5 = generate(GeneratorSpec("path", 5))
+    assert _full_cover_waves(p5, proportional_thresholds(p5, "1/2"), [0]) == ([[0], [1], [2], [3], [4]], 4)
+    star = generate(GeneratorSpec("star", 4))
+    assert _full_cover_waves(star, proportional_thresholds(star, "1/4"), [0]) == ([[0], [1, 2, 3, 4]], 1)
+    g = from_edges(4, [(0, 1)])  # phi = 0 vertices 2 and 3 complete V at round 1
+    assert _full_cover_waves(g, (1, 1, 0, 0), [0]) == ([[0], [2, 3, 1]], 1)
+    rng = random.Random(43)
+    covered = 0
+    for _ in range(300):
+        g, phi = _random_case(rng)
+        seed = [u for u in range(g.n) if rng.random() < 0.4]
+        if len(naive_hull(adj_lists(g), phi, seed)) == g.n:
+            waves, reads = _full_cover_waves(g, phi, seed)
+            assert reads == sum(map(len, waves[:-1]))
+            covered += 1
+    assert covered > 50
+
+
+def test_waves_match_the_decrementing_engine_order_included():
+    rng = random.Random(47)
+    cases = [_random_case(rng, 40) for _ in range(300)]
+    g5 = random_girth5(300, 0.012, 3)
+    cases += [(g5, proportional_thresholds(g5, rho)) for rho in ("1/2", "1/4", "1/8")]
+    for g, phi in cases:
+        state, reference = Cascade(g, phi), DecrementingCascade(g, phi)
+        for _ in range(rng.randint(1, 5)):
+            chunk = [rng.randrange(g.n) for _ in range(rng.randint(0, max(1, g.n // 8)))] if g.n else []
+            assert state.add(chunk) == reference.add(chunk)
+            assert state.size == reference.size and state.active == reference.active
+            if rng.random() < 0.3:
+                state, reference = state.fork(), copy.deepcopy(reference)
 
 
 def test_is_monopoly_checks_as_hull_does():

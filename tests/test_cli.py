@@ -102,6 +102,17 @@ def test_bench_path_instance_error_names_the_file(capsys, tmp_path):
     assert run_cli(capsys, "girth", "-g", str(graph_path)) == (1, "", err)
 
 
+def test_oversize_header_is_an_input_error(capsys, monkeypatch, tmp_path):
+    # the CLI reads graphs under parse_graph's default cap, here lowered to 10
+    monkeypatch.setitem(dynmono.graphs.parse_graph.__kwdefaults__, "max_n", 10)
+    graph_path = tmp_path / "big.txt"
+    graph_path.write_text("11 0\n")
+    expected = (1, "", f"error: {graph_path}: line 1: vertex count 11 exceeds the limit 10\n")
+    assert run_cli(capsys, "girth", "-g", str(graph_path)) == expected
+    graph_path.write_text("10 0\n")
+    assert run_cli(capsys, "girth", "-g", str(graph_path)) == (0, "acyclic\n", "")
+
+
 @pytest.mark.parametrize("what", ["graph", "seed", "config"])
 def test_undecodable_file_is_an_input_error(capsys, tmp_path, petersen_file, what):
     # a file that is not UTF-8 gets the one line a missing file gets, never a traceback

@@ -163,6 +163,22 @@ def test_parse_graph_matches_the_line_walk_on_fuzzed_documents():
     assert 500 < accepted < 2500  # both the accepting and the error-naming side are exercised
 
 
+def test_parse_graph_refuses_a_header_above_the_cap(monkeypatch):
+    # the cap is tested small: a document over it reaches neither the builtin build nor the edge walk
+    assert graphs_mod.MAX_VERTICES == 10**7
+    assert parse_graph("10 1\n0 9", max_n=10) == from_edges(10, [(0, 9)])
+    monkeypatch.setattr(graphs_mod, "_simple_graph", None)
+    monkeypatch.setattr(graphs_mod, "from_edges", None)
+    for text, message in (
+        ("11 0", "line 1: vertex count 11 exceeds the limit 10"),
+        ("11 1\n0 1", "line 1: vertex count 11 exceeds the limit 10"),
+        ("# big\n\n12 1\n0 x", "line 3: vertex count 12 exceeds the limit 10"),
+    ):
+        with pytest.raises(InputFormatError) as info:
+            parse_graph(text, max_n=10)
+        assert str(info.value) == message
+
+
 @pytest.mark.parametrize(
     "text",
     [
