@@ -10,7 +10,7 @@ All propagation runs on one incremental engine, ``Cascade``: ``add(T)`` on
 a state closed at hull(S) leaves hull(S | T), since every closed superset of
 S | T contains hull(S) | T.  A state keeps the active set, residual needs and the active count; each add returns
 its own activation waves.  A need of 0 marks a settled vertex (seeded, queued or active): a relaxation reads it and
-counts down only a waiting vertex, and an add returns once every vertex is active, so it costs the degrees of the
+counts down only a waiting vertex, so a hit on a settled vertex costs one read, and an add costs the degrees of the
 vertices it activates.  ``hull``, the checked entry, is one add on a fresh state, and ``is_monopoly`` runs its
 checks and counts that add's waves without building its record.  The package runs states unchecked: constructor
 self-checks, the greedy kernel, and forks for girth5 attempts and exact-search prefixes.
@@ -155,8 +155,10 @@ class Cascade:
 
     ``need[u]`` is phi(u) less u's active neighbours while u waits, and 0 once u is settled (seeded, queued or
     active; phi = 0 starts settled): u is queued once, on the hit that brings it to 0, and no later hit moves it.
-    Once an add returns, ``need[u] == 0`` iff ``active[u]``; ``size`` counts the active.  Each add costs the degrees
-    of the vertices it activates and ends on the hull of all seeds so far.  Ids and thresholds go unchecked.
+    For thresholds in [0, deg], once an add returns, ``need[u] == 0`` iff ``active[u]``; ``size`` counts the active.
+    Each add costs the degrees of the vertices it activates and ends on the hull of all seeds so far.  Ids and
+    thresholds go unchecked, so a caller that reads ``need`` checks the profile first (a phi < 0 vertex is active
+    with a nonzero need).
     """
 
     def __init__(self, g: Graph, phi: Thresholds):
@@ -179,8 +181,7 @@ class Cascade:
 
         Rounds count the synchronous waves of this add: new seeds are round
         0, and vertices with phi = 0 join at round 1 of the first add.  A
-        neighbour hit reads need[v] and counts it down only while v waits; the
-        add returns as soon as every vertex is active, before relaxing that wave.
+        neighbour hit reads need[v] and counts it down only while v waits.
         """
         adj, active, need = self.adj, self.active, self.need
         wave = []
@@ -192,12 +193,10 @@ class Cascade:
         # a vertex is ready once: phi = 0 ones here, the rest when their need reaches 0
         ready = [u for u in self._zero if not active[u]] if self._zero else []
         self._zero = None
-        waves, n = [], len(active)
+        waves = []
         while True:
             waves.append(wave)
             self.size += len(wave)
-            if self.size == n:
-                return waves
             for u in wave:
                 for v in adj[u]:
                     k = need[v]

@@ -77,7 +77,7 @@ def min_monopoly_exact(
         # least is the smallest phi'(u) outside H, for the first-activation rule
         twice_need, later, least = 0, [], n
         for u, k in enumerate(state.need):
-            if k:  # after an add, need is 0 exactly on the hull
+            if k:  # after an add, need is 0 exactly on the hull, as check_thresholds above put phi in [0, deg]
                 twice_need += k - slack[u]
                 if k < least:
                     least = k

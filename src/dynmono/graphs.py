@@ -21,7 +21,7 @@ Using +inf keeps comparisons like ``girth(g) >= 5`` meaningful for forests.
 """
 
 MAX_VERTICES = 10**7
-"""The largest header n that :func:`parse_graph` accepts unless its ``max_n`` says otherwise."""
+"""The largest header n that :func:`parse_graph` accepts."""
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,8 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n=n, adj=tuple(tuple(sorted(nbrs)) for nbrs in adj))
 
 
-def parse_graph(text: str, *, max_n: int = MAX_VERTICES) -> Graph:
-    """Parse the edge-list document format; a header n above ``max_n`` is refused before any list is allocated.
+def parse_graph(text: str) -> Graph:
+    """Parse the edge-list document format; a header n above ``MAX_VERTICES`` is refused before any list is allocated.
 
     Format: optional comment lines starting with '#' (and blank lines),
     a header line "n m", then exactly m lines "u v" with 0-based endpoints.
@@ -125,7 +125,7 @@ def parse_graph(text: str, *, max_n: int = MAX_VERTICES) -> Graph:
             nums = list(map(int, text.split()))
         except ValueError:
             nums = []
-        if len(nums) >= 2 and 0 <= nums[0] <= max_n and nums[1] >= 0 and len(nums) == 2 * nums[1] + 2:
+        if len(nums) >= 2 and 0 <= nums[0] <= MAX_VERTICES and nums[1] >= 0 and len(nums) == 2 * nums[1] + 2:
             g = _simple_graph(nums[0], nums[2::2], nums[3::2])
             if g is not None:
                 return g
@@ -142,8 +142,8 @@ def parse_graph(text: str, *, max_n: int = MAX_VERTICES) -> Graph:
         raise InputFormatError(f"line {lineno}: header values must be integers") from None
     if n < 0 or m < 0:
         raise InputFormatError(f"line {lineno}: header values must be non-negative")
-    if n > max_n:
-        raise InputFormatError(f"line {lineno}: vertex count {n} exceeds the limit {max_n}")
+    if n > MAX_VERTICES:
+        raise InputFormatError(f"line {lineno}: vertex count {n} exceeds the limit {MAX_VERTICES}")
 
     def edges() -> Iterator[tuple[int, int]]:
         nonlocal lineno

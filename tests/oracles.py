@@ -139,8 +139,7 @@ def min_monopoly_exhaustive_reference(g: Graph, phi) -> tuple[int, tuple[int, ..
 
 class DecrementingCascade:
     """``Cascade`` as it was before the settled mark: every neighbour hit decrements need, an active or queued
-    endpoint's too (its need goes negative), and an add relaxes its last wave even once every vertex is active.
-    Kept to pin the wave lists ``Cascade.add`` returns, order included."""
+    endpoint's too (its need goes negative).  Kept to pin the wave lists ``Cascade.add`` returns, order included."""
 
     def __init__(self, g: Graph, phi):
         self.adj, self.active, self.need, self.size = g.adj, bytearray(g.n), list(phi), 0

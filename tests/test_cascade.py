@@ -321,52 +321,6 @@ def test_fork_and_parent_stay_apart():
         _assert_settled(early)
 
 
-class _CountingAdj(list):
-    """An adjacency list that counts the vertices whose neighbours are read."""
-
-    reads = 0
-
-    def __getitem__(self, u):
-        self.reads += 1
-        return super().__getitem__(u)
-
-
-def _full_cover_waves(g, phi, seed) -> tuple[list[list[int]], int]:
-    """The waves of one add that covers V, and how many adjacency lists it read."""
-    state = Cascade(g, phi)
-    state.adj = _CountingAdj(g.adj)
-    waves = state.add(seed)
-    assert state.size == g.n
-    _assert_settled(state)
-    assert {u: r for r, wave in enumerate(waves) for u in wave} == naive_rounds(adj_lists(g), phi, seed)
-    return waves, state.adj.reads
-
-
-def test_add_returns_once_every_vertex_is_active():
-    pet = petersen()
-    phi = proportional_thresholds(pet, 1)
-    # the seed covers V at wave 0: no adjacency list is read
-    assert _full_cover_waves(pet, phi, range(10)) == ([list(range(10))], 0)
-    assert _full_cover_waves(pet, phi, [3, 1, 3, *range(10)]) == ([[3, 1, 0, 2, 4, 5, 6, 7, 8, 9]], 0)
-    # V is covered at a later wave: every wave but the last is relaxed
-    p5 = generate(GeneratorSpec("path", 5))
-    assert _full_cover_waves(p5, proportional_thresholds(p5, "1/2"), [0]) == ([[0], [1], [2], [3], [4]], 4)
-    star = generate(GeneratorSpec("star", 4))
-    assert _full_cover_waves(star, proportional_thresholds(star, "1/4"), [0]) == ([[0], [1, 2, 3, 4]], 1)
-    g = from_edges(4, [(0, 1)])  # phi = 0 vertices 2 and 3 complete V at round 1
-    assert _full_cover_waves(g, (1, 1, 0, 0), [0]) == ([[0], [2, 3, 1]], 1)
-    rng = random.Random(43)
-    covered = 0
-    for _ in range(300):
-        g, phi = _random_case(rng)
-        seed = [u for u in range(g.n) if rng.random() < 0.4]
-        if len(naive_hull(adj_lists(g), phi, seed)) == g.n:
-            waves, reads = _full_cover_waves(g, phi, seed)
-            assert reads == sum(map(len, waves[:-1]))
-            covered += 1
-    assert covered > 50
-
-
 def test_waves_match_the_decrementing_engine_order_included():
     rng = random.Random(47)
     cases = [_random_case(rng, 40) for _ in range(300)]

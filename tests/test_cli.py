@@ -103,8 +103,8 @@ def test_bench_path_instance_error_names_the_file(capsys, tmp_path):
 
 
 def test_oversize_header_is_an_input_error(capsys, monkeypatch, tmp_path):
-    # the CLI reads graphs under parse_graph's default cap, here lowered to 10
-    monkeypatch.setitem(dynmono.graphs.parse_graph.__kwdefaults__, "max_n", 10)
+    # the CLI reads graphs under the module's cap, here lowered to 10
+    monkeypatch.setattr(dynmono.graphs, "MAX_VERTICES", 10)
     graph_path = tmp_path / "big.txt"
     graph_path.write_text("11 0\n")
     expected = (1, "", f"error: {graph_path}: line 1: vertex count 11 exceeds the limit 10\n")

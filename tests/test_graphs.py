@@ -166,7 +166,8 @@ def test_parse_graph_matches_the_line_walk_on_fuzzed_documents():
 def test_parse_graph_refuses_a_header_above_the_cap(monkeypatch):
     # the cap is tested small: a document over it reaches neither the builtin build nor the edge walk
     assert graphs_mod.MAX_VERTICES == 10**7
-    assert parse_graph("10 1\n0 9", max_n=10) == from_edges(10, [(0, 9)])
+    monkeypatch.setattr(graphs_mod, "MAX_VERTICES", 10)
+    assert parse_graph("10 1\n0 9") == from_edges(10, [(0, 9)])
     monkeypatch.setattr(graphs_mod, "_simple_graph", None)
     monkeypatch.setattr(graphs_mod, "from_edges", None)
     for text, message in (
@@ -175,7 +176,7 @@ def test_parse_graph_refuses_a_header_above_the_cap(monkeypatch):
         ("# big\n\n12 1\n0 x", "line 3: vertex count 12 exceeds the limit 10"),
     ):
         with pytest.raises(InputFormatError) as info:
-            parse_graph(text, max_n=10)
+            parse_graph(text)
         assert str(info.value) == message
 
 
