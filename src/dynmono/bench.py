@@ -7,11 +7,14 @@ record has no ``rng_seed`` drew no random bits: its cell stops after one
 trial.  The trials of a girth5 cell share one greedy kernel per (graph, rho,
 delta), cached by ``girth5_construct``; only the sampling rounds draw per
 trial.  Every emitted row is re-verified by ``is_monopoly`` on a fresh cascade
-from its seed; an invalid construction aborts the run.  Cells whose
-preconditions fail are recorded as skipped, not errors.
+from its seed; an invalid construction aborts the run.  The constructor's own
+check comes first, so from each (instance, rho)'s second check on, both run on
+the cached profile's threshold-1 quotient, built once (see ``cascade``).
+Cells whose preconditions fail are recorded as skipped, not errors.
 ``load_config`` checks every field once: ``instances``, ``rhos`` and ``methods``
 must be lists, a method entry becomes its girth5 options, a ``path`` instance a
-Path resolved against the config's directory.
+``GraphFile``: the file resolved against the config's directory, labelled by
+the path as written.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .cascade import from_file, is_monopoly, parse_rho, proportional_thresholds, to_number
 from .constructors import BUILDERS, girth5_options
@@ -64,9 +68,17 @@ class MethodSpec:
     options: dict = field(default_factory=dict)
 
 
+class GraphFile(NamedTuple):
+    """An edge-list instance: ``path`` resolved against the config's directory, and ``label``, the path as written
+    there (``a/g.txt`` and ``b/g.txt`` differ), which fills the ``family`` column and keys the RNG seeds."""
+
+    path: Path
+    label: str
+
+
 @dataclass
 class BenchConfig:
-    instances: tuple[GeneratorSpec | Path, ...]  # a Path is an edge-list file
+    instances: tuple[GeneratorSpec | GraphFile, ...]
     rhos: tuple[Fraction, ...]
     methods: tuple[MethodSpec, ...]
     trials: int = 1
@@ -82,13 +94,14 @@ class BenchResult:
     summary: dict[str, dict] = field(default_factory=dict)
 
 
-def _parse_instance(entry, config_dir: Path) -> GeneratorSpec | Path:
+def _parse_instance(entry, config_dir: Path) -> GeneratorSpec | GraphFile:
     if isinstance(entry, str):
         return GeneratorSpec(family=entry)
     if not isinstance(entry, dict):
         raise InputFormatError(f"instance entry must be a string or object, got {entry!r}")
     if "path" in entry:
-        return config_dir / str(entry["path"])
+        written = Path(str(entry["path"]))
+        return GraphFile(config_dir / written, written.as_posix())
     if "family" not in entry:
         raise InputFormatError(f"instance entry needs 'family' or 'path': {entry!r}")
     return GeneratorSpec.read(entry)
@@ -140,9 +153,9 @@ def load_config(path: str | Path) -> BenchConfig:
     return config
 
 
-def _load_instance(inst: GeneratorSpec | Path) -> tuple[str, Graph]:
-    if isinstance(inst, Path):
-        return inst.name, from_file(inst, "graph", parse_graph)
+def _load_instance(inst: GeneratorSpec | GraphFile) -> tuple[str, Graph]:
+    if isinstance(inst, GraphFile):
+        return inst.label, from_file(inst.path, "graph", parse_graph)
     try:
         return inst.label(), generate(inst)
     except PreconditionError as exc:  # a size or family no generator takes is a bad config entry

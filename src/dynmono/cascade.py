@@ -12,8 +12,15 @@ S | T contains hull(S) | T.  A state keeps the active set, residual needs and th
 its own activation waves.  A need of 0 marks a settled vertex (seeded, queued or active): a relaxation reads it and
 counts down only a waiting vertex, so a hit on a settled vertex costs one read, and an add costs the degrees of the
 vertices it activates.  ``hull``, the checked entry, is one add on a fresh state, and ``is_monopoly`` runs its
-checks and counts that add's waves without building its record.  The package runs states unchecked: constructor
+checks and asks only for coverage, without building a record.  The package runs states unchecked: constructor
 self-checks, the greedy kernel, and forks for girth5 attempts and exact-search prefixes.
+
+Coverage checks (``is_monopoly`` and the constructors' self-checks) that come back to one profile cached by
+``proportional_thresholds`` run on its threshold-1 quotient: each connected class of threshold-1 vertices is one node
+of threshold 1, named by its smallest member, and each edge between different nodes keeps one adjacency entry, so a
+node may list another twice.  It is exact: a closed set holding one member of a class holds the whole class, so
+hull(D) is V exactly when the cascade from D's image covers every node.  The first check runs plain, the second
+builds the quotient and caches it on the graph, later ones reuse it; any other profile always runs plain.
 
 Thresholds of the proportional family are phi(u) = ceil(rho * deg(u)) for a
 rational rho in (0, 1].  All threshold arithmetic is exact: rho is a
@@ -27,6 +34,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import InputFormatError, PreconditionError
@@ -211,8 +219,47 @@ class Cascade:
                 active[u] = 1
 
 
-def _closed(g: Graph, phi: Thresholds, seed: Iterable[int]) -> list[list[int]]:
-    """The waves of one add of ``seed`` on a fresh state, after ``hull``'s checks of thresholds and ids."""
+def _quotient(g: Graph, phi: Thresholds) -> SimpleNamespace:
+    """Contract each connected class of threshold-1 vertices into its smallest member, keeping one entry per edge
+    that leaves the class: ``Cascade`` reads ``n`` and ``adj`` as a Graph's (but a row may repeat a node), ``rep``
+    maps a vertex to its node and ``nodes`` counts them.  Rows are g's own except at a class's smallest member and
+    at its outside neighbours."""
+    adj, rep, rows, nodes, moved = g.adj, list(range(g.n)), list(g.adj), g.n, set()
+    for u in range(g.n):
+        if phi[u] != 1 or rep[u] != u:
+            continue
+        members = [u]
+        for a in members:  # u is the smallest: a threshold-1 b != u with rep[b] == b is unvisited
+            for b in adj[a]:
+                if b != u and rep[b] == b and phi[b] == 1:
+                    rep[b] = u
+                    members.append(b)
+        if len(members) > 1:  # the other members' rows stay unread: they are nobody's neighbour and no image
+            nodes -= len(members) - 1
+            rows[u] = tuple(v for a in members for v in adj[a] if phi[v] != 1)
+            moved.update(v for a in members[1:] for v in adj[a] if phi[v] != 1)
+    for w in moved:
+        rows[w] = tuple(map(rep.__getitem__, adj[w]))
+    return SimpleNamespace(n=g.n, adj=tuple(rows), rep=rep, nodes=nodes)
+
+
+def _covers(g: Graph, phi: Thresholds, seed: Iterable[int]) -> bool:
+    """True iff a fresh Cascade from ``seed`` (valid ids) covers g: plain, or from the second check of a profile
+    cached on g, on its quotient, built by that check (see the module docstring)."""
+    quotients, net, image, nodes = g._quotients, g, seed, g.n
+    rho = next((r for r, t in g._profiles.items() if t is phi), None)
+    if rho in quotients:
+        net = quotients[rho] = quotients[rho] or _quotient(g, phi)
+        image, nodes = map(net.rep.__getitem__, seed), net.nodes
+    elif rho is not None:
+        quotients[rho] = None
+    state = Cascade(net, phi)
+    state.add(image)
+    return state.size == nodes
+
+
+def _checked(g: Graph, phi: Thresholds, seed: Iterable[int]) -> list[int]:
+    """``seed`` as sorted distinct ids, after ``hull``'s checks of thresholds and ids."""
     check_thresholds(g, phi)
     ids = tuple(seed)
     if not set(map(type, ids)) <= {int}:  # bools and floats included: name the first such id
@@ -221,7 +268,12 @@ def _closed(g: Graph, phi: Thresholds, seed: Iterable[int]) -> list[list[int]]:
     seed_list = sorted(set(ids))
     if seed_list and (seed_list[0] < 0 or seed_list[-1] >= g.n):
         raise PreconditionError(f"seed contains ids outside 0..{g.n - 1}")
-    return Cascade(g, phi).add(seed_list)
+    return seed_list
+
+
+def _closed(g: Graph, phi: Thresholds, seed: Iterable[int]) -> list[list[int]]:
+    """The waves of one add of ``seed`` on a fresh state, after ``hull``'s checks of thresholds and ids."""
+    return Cascade(g, phi).add(_checked(g, phi, seed))
 
 
 def hull(g: Graph, phi: Thresholds, seed: Iterable[int]) -> CascadeResult:
@@ -232,8 +284,8 @@ def hull(g: Graph, phi: Thresholds, seed: Iterable[int]) -> CascadeResult:
 
 
 def is_monopoly(g: Graph, phi: Thresholds, seed: Iterable[int]) -> bool:
-    """True iff the hull of ``seed`` covers every vertex: ``hull``'s checks, without building its record."""
-    return sum(map(len, _closed(g, phi, seed))) == g.n
+    """True iff the hull of ``seed`` covers every vertex: ``hull``'s checks, then ``_covers``, with no record."""
+    return _covers(g, phi, _checked(g, phi, seed))
 
 
 def parse_seed_set(text: str, n: int) -> tuple[int, ...]:

@@ -45,7 +45,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .cascade import Cascade, Thresholds, check_thresholds, proportional_thresholds, to_fraction, to_number
+from .cascade import Cascade, Thresholds, _covers, check_thresholds, proportional_thresholds, to_fraction, to_number
 from .errors import PreconditionError
 from .graphs import Graph, girth_at_least_five, is_tree
 from .seeding import shuffled_range, stable_seed
@@ -230,10 +230,9 @@ class MonopolySeed:
 
 def _verified(g: Graph, phi: Thresholds, method: str, seed: tuple[int, ...], params: dict,
               trace: Girth5Trace | None = None) -> MonopolySeed:
-    """The seed's record, marked verified once a fresh Cascade from the seed covers the graph."""
-    state = Cascade(g, phi)
-    state.add(seed)
-    if state.size < g.n:
+    """The seed's record, marked verified once a fresh Cascade from the seed covers the graph (``cascade._covers``:
+    from a cached profile's second check on, the cascade runs on its threshold-1 quotient)."""
+    if not _covers(g, phi, seed):
         raise AssertionError(f"{method} produced a non-monopoly seed")
     return MonopolySeed(method=method, seed=seed, params=params, verified=True, trace=trace)
 

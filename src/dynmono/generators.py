@@ -7,6 +7,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from . import graphs
 from .cascade import to_number
 from .errors import PreconditionError
 from .graphs import Graph, connected_components, from_edges, induced_subgraph
@@ -194,9 +195,18 @@ FAMILIES: dict[str, tuple] = {
 
 
 def generate(spec: GeneratorSpec) -> Graph:
-    """Materialize a GeneratorSpec.  Deterministic given the spec (seed included)."""
+    """Materialize a GeneratorSpec.  Deterministic given the spec (seed included).
+
+    Before anything is allocated, a graph of more than ``graphs.MAX_VERTICES`` vertices, or a complete graph of
+    more edges than that, is refused with PreconditionError: what ``parse_graph`` could not read back is not built.
+    """
     build, *fields = FAMILIES[spec.family]
     if "n" in fields and spec.n is None:
         raise PreconditionError(f"family {spec.family!r} requires n")
+    limit, n = graphs.MAX_VERTICES, spec.n + (spec.family == "star") if "n" in fields else 0  # star: n leaves
+    if n > limit:
+        raise PreconditionError(f"{spec.family} with n={spec.n} has {n} vertices, above the limit {limit}")
+    if spec.family == "complete" and n > 0 and n * (n - 1) // 2 > limit:
+        raise PreconditionError(f"complete with n={n} has {n * (n - 1) // 2} edges, above the limit {limit}")
     build = globals()[build.__name__]  # looked up at call time, so a wrapper on the module's name sees the call
     return build(*(getattr(spec, f) for f in fields))

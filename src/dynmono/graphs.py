@@ -34,7 +34,8 @@ class Graph:
     safe to share read-only across concurrent workers.  Facts computed from
     the adjacency are cached on first use: ``degrees``, ``m``,
     ``max_degree``, ``girth_at_least_five``, ``is_connected``, one
-    proportional threshold profile per rho and one girth5 prefix per
+    proportional threshold profile per rho, that profile's threshold-1
+    quotient once it is checked twice, and one girth5 prefix per
     (rho, delta).
     """
 
@@ -57,6 +58,7 @@ class Graph:
     is_connected = cached_property(lambda self: len(connected_components(self)) <= 1)
     _profiles = cached_property(lambda self: {})  # rho -> proportional threshold profile, see cascade
     _girth5_prefixes = cached_property(lambda self: {})  # (rho, delta) -> girth5's kernel prefix, see constructors
+    _quotients = cached_property(lambda self: {})  # rho -> None after one check, then its quotient, see cascade
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges (u, v) with u < v in ascending lexicographic order."""

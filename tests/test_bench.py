@@ -6,13 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from dynmono import InputFormatError, load_config, run_bench, serialize_graph, write_csv
-from dynmono.bench import CSV_COLUMNS, MethodSpec, BenchConfig
+from dynmono import InputFormatError, is_monopoly, load_config, proportional_thresholds, run_bench, serialize_graph
+from dynmono import write_csv
+from dynmono.bench import CSV_COLUMNS, BenchConfig, GraphFile, MethodSpec
+from dynmono.cli import main
 from dynmono.constructors import MonopolySeed
 from dynmono import GeneratorSpec, generate, girth5_params
 from dynmono import bench as bench_mod
+from dynmono import cascade as cascade_mod
 from dynmono import constructors as constructors_mod
 from dynmono import graphs as graphs_mod
+from dynmono.seeding import stable_seed
 
 
 def _write_config(tmp_path, payload):
@@ -35,7 +39,7 @@ def test_load_config_full(tmp_path):
     )
     config = load_config(path)
     assert len(config.instances) == 3
-    assert config.instances[2] == tmp_path / "g.txt"  # resolved against the config file's directory
+    assert config.instances[2] == GraphFile(tmp_path / "g.txt", "g.txt")  # resolved against the config's directory
     assert config.rhos == (Fraction(1, 3), Fraction(1, 2))
     assert config.methods[1].options["delta"] == Fraction(1, 2)  # checked at load, not kept as written
     assert config.methods[1].options["max_restarts"] == 2
@@ -219,6 +223,71 @@ def test_rows_are_checked_by_is_monopoly(monkeypatch):
     with pytest.raises(AssertionError, match="^bench integrity failure: v2 seed on petersen is not a monopoly$"):
         run_bench(config)
     assert checks[-1] == 0
+    # and so it does once abw's trials have built the profile's quotient (petersen at rho 1/3: one class of ten)
+    builds = []
+    quotient = cascade_mod._quotient
+    monkeypatch.setattr(cascade_mod, "_quotient", lambda g, phi: builds.append(g.n) or quotient(g, phi))
+    config = BenchConfig(instances=(GeneratorSpec("petersen"),), rhos=(Fraction(1, 3),),
+                         methods=(MethodSpec("abw"), MethodSpec("v2")), trials=2)
+    with pytest.raises(AssertionError, match="^bench integrity failure: v2 seed on petersen is not a monopoly$"):
+        run_bench(config)
+    assert builds == [10] and checks[-1] == 0
+
+
+def test_quotients_are_built_on_a_second_check_only(monkeypatch, tmp_path, capsys):
+    # one-shot construct and verify build none, a sweep at most one per (instance, rho), a list profile never
+    builds = []
+    quotient = cascade_mod._quotient
+    monkeypatch.setattr(cascade_mod, "_quotient", lambda g, phi: builds.append((g, phi)) or quotient(g, phi))
+    pet, tree = tmp_path / "pet.txt", tmp_path / "tree.txt"
+    pet.write_text(serialize_graph(generate(GeneratorSpec("petersen"))))
+    tree.write_text(serialize_graph(generate(GeneratorSpec("random_tree", 40, rng_seed=2))))
+    for path, method in ((pet, "v2"), (pet, "abw"), (pet, "girth5"), (tree, "tree"), (tree, "abw")):
+        assert main(["construct", "-g", str(path), "--rho", "1/3", "--method", method]) == 0
+        seed_path = tmp_path / "seed.txt"
+        seed_path.write_text(" ".join(map(str, json.loads(capsys.readouterr().out)["seed"])))
+        assert main(["verify", "-g", str(path), "--rho", "1/3", "--seed-set", str(seed_path)]) == 0
+        assert capsys.readouterr().out == "monopoly: true\n"
+    assert builds == []
+    config = BenchConfig(
+        instances=(GeneratorSpec("random_girth5", 60, p=0.1, rng_seed=1), GeneratorSpec("random_girth5", 120, p=0.05),
+                   GeneratorSpec("petersen"), GeneratorSpec("cycle", 40), GeneratorSpec("complete", 8)),
+        rhos=(Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)),
+        methods=(MethodSpec("v2"), MethodSpec("abw"), MethodSpec("tree"),
+                 MethodSpec("girth5", {"delta": Fraction(1, 5), "max_restarts": 2})),
+        trials=2, epsilon=0.568,
+    )
+    assert run_bench(config).rows
+    assert 0 < len(builds) == len({(id(g), id(phi)) for g, phi in builds}) <= 5 * 3
+    g = builds[0][0]
+    phi = list(proportional_thresholds(g, Fraction(1, 8)))
+    for _ in range(3):
+        assert is_monopoly(g, phi, range(g.n)) and is_monopoly(g, tuple(phi), range(g.n))
+    assert len(builds) == len({(id(g), id(phi)) for g, phi in builds})
+
+
+def test_path_instances_are_keyed_by_the_path_as_written(monkeypatch, tmp_path):
+    # a/g.txt and b/g.txt of equal order are two instances, each with its own label and RNG streams; a file next to
+    # the config is labelled by its name, as before, however it is written
+    text = serialize_graph(generate(GeneratorSpec("random_tree", 12, rng_seed=3)))
+    for rel in ("g.txt", "a/g.txt", "b/g.txt"):
+        (tmp_path / rel).parent.mkdir(exist_ok=True)
+        (tmp_path / rel).write_text(text)
+    absolute = str(tmp_path / "a" / "g.txt")
+    written = ["g.txt", "./g.txt", "a/g.txt", "b/g.txt", absolute]
+    payload = {"instances": [{"path": p} for p in written], "rhos": ["1/3"], "methods": ["abw"], "rng_seed_base": 5}
+    config = load_config(_write_config(tmp_path, payload))
+    labels = ["g.txt", "g.txt", "a/g.txt", "b/g.txt", absolute]
+    assert [inst.label for inst in config.instances] == labels
+    assert [inst.path for inst in config.instances] == [tmp_path / p for p in ("g.txt", "g.txt", *written[2:])]
+    seeds = []
+    abw = constructors_mod.BUILDERS["abw"]
+    monkeypatch.setitem(constructors_mod.BUILDERS, "abw", lambda g, rho, rng_seed, **kw: seeds.append(rng_seed)
+                        or abw(g, rho, rng_seed, **kw))
+    rows = run_bench(config).rows
+    assert [row["family"] for row in rows] == labels
+    assert seeds == [stable_seed(5, label, 12, "1/3", "abw", 0) for label in labels]
+    assert len(set(seeds)) == 4
 
 
 def test_skipped_cells_record_reason():

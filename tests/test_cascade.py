@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynmono import (
     GeneratorSpec,
@@ -21,7 +22,7 @@ from dynmono import (
     to_fraction,
     v2_baseline,
 )
-from dynmono.cascade import Cascade, check_thresholds, parse_seed_set
+from dynmono.cascade import Cascade, _quotient, check_thresholds, parse_seed_set
 from dynmono.constructors import greedy_kernel
 from dynmono.generators import petersen
 from dynmono.graphs import connected_components
@@ -415,6 +416,44 @@ def test_is_monopoly_cycle_cases():
     assert is_monopoly(c5, phi, [0, 1, 3])
     assert not is_monopoly(c5, phi, [0, 1])
     assert is_monopoly(c5, phi, range(5))
+
+
+@st.composite
+def profiles_with_seeds(draw):
+    """A G(n, p) graph on 1..14 vertices (isolated vertices and several components included), its cached
+    proportional profile (phi = deg everywhere at rho 1, and at any rho on degree-1 vertices), and 3 to 5 seeds."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = gnp(draw(st.integers(1, 14)), draw(st.sampled_from((0.1, 0.2, 0.35, 0.6))), rng)
+    phi = proportional_thresholds(g, draw(st.sampled_from(("1", "3/4", "1/2", "1/3", "1/4", "1/8"))))
+    return g, phi, draw(st.lists(st.sets(st.integers(0, g.n - 1)), min_size=3, max_size=5))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(profiles_with_seeds())
+def test_quotient_coverage_matches_plain_cascade(case):
+    # the first check of a cached profile runs plain, the second builds its threshold-1 quotient, later ones reuse
+    # it: every answer is the plain cascade's
+    g, phi, seeds = case
+    for seed in seeds:
+        plain = Cascade(g, phi)
+        plain.add(seed)
+        assert is_monopoly(g, phi, seed) == (plain.size == g.n)
+    assert len(g._quotients) == 1 and None not in g._quotients.values()  # the quotient was built and used
+
+
+def test_quotient_keeps_one_entry_per_edge():
+    # at rho 1/3 vertex 0 (degree 4) needs 2 hits: the class {1, 2, 3} gives it two, one per edge, each leaf one
+    g = from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (0, 5)])
+    phi = proportional_thresholds(g, "1/3")
+    assert phi == (2, 1, 1, 1, 1, 1)
+    q = _quotient(g, phi)
+    assert (q.n, q.nodes, q.rep, q.adj[0], q.adj[1]) == (6, 4, [0, 1, 1, 1, 4, 5], (1, 1, 4, 5), (0, 0))
+    assert q.adj[4] is g.adj[4]  # no class neighbour: g's own row
+    for _ in range(3):
+        assert is_monopoly(g, phi, [2]) and is_monopoly(g, phi, [4, 5]) and not is_monopoly(g, phi, [4])
+    cycle = generate(GeneratorSpec("cycle", 40))  # one class: one node with no entries
+    q = _quotient(cycle, proportional_thresholds(cycle, "1/2"))
+    assert (q.nodes, set(q.rep), q.adj[0]) == (1, {0}, ())
 
 
 def test_parse_seed_set():

@@ -66,6 +66,22 @@ def test_bad_generator_size_is_an_input_error(capsys, tmp_path):
     assert (code, out, err) == (1, "", "error: instance path:-5: path needs at least one vertex\n")
 
 
+def test_oversize_generator_is_an_input_error(capsys, monkeypatch, tmp_path):
+    # a graph above the module's cap, here lowered to 10, is refused before it is built: a bad flag or config entry
+    monkeypatch.setattr(dynmono.graphs, "MAX_VERTICES", 10)
+    out_path, cfg_path = tmp_path / "g.txt", tmp_path / "bench.json"
+    message = "complete with n=6 has 15 edges, above the limit 10"
+    code, out, err = run_cli(capsys, "gen", "--family", "complete", "--n", "6", "-o", str(out_path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not out_path.exists()
+    cfg_path.write_text(json.dumps({"instances": [{"family": "complete", "n": 6}], "rhos": ["1/2"], "methods": ["v2"]}))
+    code, out, err = run_cli(capsys, "bench", "--config", str(cfg_path), "-o", str(tmp_path / "o.csv"))
+    assert (code, out, err) == (1, "", f"error: instance complete:6: {message}\n")
+    code, out, err = run_cli(capsys, "gen", "--family", "path", "--n", "11", "-o", str(out_path))
+    assert (code, out, err) == (1, "", "error: path with n=11 has 11 vertices, above the limit 10\n")
+    assert run_cli(capsys, "gen", "--family", "complete", "--n", "5", "-o", str(out_path))[0] == 0
+
+
 def test_cli_numbers_read_like_bench_numbers(capsys, tmp_path, petersen_file):
     # gen --n/--p/--seed and a bench generator instance share one reader: exit 1, the same line, no usage block
     out_path, cfg_path = tmp_path / "g.txt", tmp_path / "bench.json"

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from dynmono import GeneratorSpec, PreconditionError, generate, girth, random_girth5, random_tree, serialize_graph
-from dynmono import generators
+from dynmono import generators, graphs
 from dynmono.generators import prufer_decode
 from dynmono.graphs import connected_components, girth_at_least_five, is_tree
 from oracles import random_girth5_reference
@@ -54,6 +54,29 @@ def test_generate_calls_builders_by_name(monkeypatch):
     monkeypatch.setattr(generators, "random_tree", lambda n, rng_seed: calls.append((n, rng_seed)) or generators.path(n))
     assert generate(GeneratorSpec("random_tree", 6, rng_seed=2)).degrees == (1, 2, 2, 2, 2, 1)
     assert calls == [(6, 2)]
+
+
+def test_generate_refuses_sizes_above_the_vertex_limit(monkeypatch):
+    # with the limit lowered to 10, no builder runs for a graph of 11 vertices or a complete graph of 15 edges
+    monkeypatch.setattr(graphs, "MAX_VERTICES", 10)
+    built = []
+    for name in ("path", "star", "complete", "random_girth5"):
+        monkeypatch.setattr(generators, name, lambda *args, name=name: built.append(name))
+    for spec, message in (
+        (GeneratorSpec("path", 11), "path with n=11 has 11 vertices, above the limit 10"),
+        (GeneratorSpec("star", 10), "star with n=10 has 11 vertices, above the limit 10"),
+        (GeneratorSpec("random_girth5", 11, p=0.5), "random_girth5 with n=11 has 11 vertices, above the limit 10"),
+        (GeneratorSpec("complete", 6), "complete with n=6 has 15 edges, above the limit 10"),
+    ):
+        with pytest.raises(PreconditionError) as info:
+            generate(spec)
+        assert str(info.value) == message
+    assert built == []
+    for spec in (GeneratorSpec("path", 10), GeneratorSpec("star", 9), GeneratorSpec("complete", 5),
+                 GeneratorSpec("complete", -3), GeneratorSpec("random_girth5", 10, p=0.5)):
+        generate(spec)
+    assert built == ["path", "star", "complete", "complete", "random_girth5"]
+    assert generate(GeneratorSpec("petersen", 10**9)).n == 10  # petersen reads no n
 
 
 def test_prufer_decode_degree_property():
