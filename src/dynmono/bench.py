@@ -23,13 +23,12 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 from .cascade import from_file, is_monopoly, parse_rho, proportional_thresholds, to_number
-from .constructors import BUILDERS, girth5_options
+from .constructors import BUILDERS, EMPTY, girth5_options
 from .errors import InputFormatError, PreconditionError
 from .exact import abw_bound
 from .generators import GeneratorSpec, generate
@@ -60,12 +59,11 @@ CONST_583 = 2.0 * math.sqrt(2.0) + 3.0
 CONST_492 = 4.92
 
 
-@dataclass(frozen=True)
-class MethodSpec:
+class MethodSpec(NamedTuple):
     """A method and its girth5 options: what ``constructors.girth5_options`` returns, or any part of it."""
 
     name: str
-    options: dict = field(default_factory=dict)
+    options: Mapping = EMPTY
 
 
 class GraphFile(NamedTuple):
@@ -76,8 +74,7 @@ class GraphFile(NamedTuple):
     label: str
 
 
-@dataclass
-class BenchConfig:
+class BenchConfig(NamedTuple):
     instances: tuple[GeneratorSpec | GraphFile, ...]
     rhos: tuple[Fraction, ...]
     methods: tuple[MethodSpec, ...]
@@ -87,11 +84,10 @@ class BenchConfig:
     output: str | None = None
 
 
-@dataclass
-class BenchResult:
-    rows: list[dict] = field(default_factory=list)
-    skipped: list[dict] = field(default_factory=list)
-    summary: dict[str, dict] = field(default_factory=dict)
+class BenchResult(NamedTuple):
+    rows: list[dict]
+    skipped: list[dict]
+    summary: dict[str, dict]
 
 
 def _parse_instance(entry, config_dir: Path) -> GeneratorSpec | GraphFile:
@@ -163,7 +159,7 @@ def _load_instance(inst: GeneratorSpec | GraphFile) -> tuple[str, Graph]:
 
 
 def run_bench(config: BenchConfig) -> BenchResult:
-    result = BenchResult()
+    result = BenchResult([], [], {})
     ratios: dict[str, list[float]] = {}
     for inst in config.instances:
         family, g = _load_instance(inst)

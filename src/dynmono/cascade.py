@@ -31,11 +31,10 @@ the tight cases (rho * deg integral) are never corrupted by float rounding.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .errors import InputFormatError, PreconditionError
 from .graphs import Graph
@@ -50,13 +49,13 @@ def to_fraction(value: Fraction | int | str | float, name: str = "rho", upper: F
     Takes a Fraction, an int, a "P/Q" or decimal string ("0.3" is exactly
     3/10) or a float, read through its shortest repr (0.1 is 1/10).  Anything
     else, booleans, NaN and infinities included, raises PreconditionError
-    naming ``name``, as does a decimal exponent above sys.get_int_max_str_digits()
-    (the limit a "P/Q" hits in int()), for which Fraction would build 10**exponent.
+    naming ``name``, as does a decimal exponent above sys.get_int_max_str_digits(), the limit a "P/Q" hits in int()
+    (4300, CPython's default, on a 3.10 older than 3.10.7, which lacks it): Fraction would build 10**exponent.
     """
     exact = type(value) in (Fraction, int)  # bools take the str path
     try:
         _, e, exponent = ("" if exact else str(value).lower()).rpartition("e")
-        if e and 0 < sys.get_int_max_str_digits() < abs(int(exponent)):
+        if e and 0 < getattr(sys, "get_int_max_str_digits", lambda: 4300)() < abs(int(exponent)):
             raise ValueError("decimal exponent too large")
         r = Fraction(value) if exact else Fraction(str(value))
     except (ValueError, ZeroDivisionError):
@@ -137,8 +136,7 @@ def check_thresholds(g: Graph, phi: Thresholds) -> None:
             raise PreconditionError(f"threshold of vertex {u} exceeds its degree ({t} > {d})")
 
 
-@dataclass(frozen=True)
-class CascadeResult:
+class CascadeResult(NamedTuple):
     """Final active set with per-vertex activation rounds.
 
     Rounds are synchronous generations: seeds are round 0, and round r+1

@@ -41,9 +41,9 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 from .cascade import Cascade, Thresholds, _covers, check_thresholds, proportional_thresholds, to_fraction, to_number
 from .errors import PreconditionError
@@ -52,6 +52,7 @@ from .seeding import shuffled_range, stable_seed
 
 DELTA_CAP = min(math.exp(-0.25), 0.5)
 """Upper limit for the slack parameter delta (equals 0.5), and its value when no epsilon is given."""
+EMPTY: Mapping = MappingProxyType({})  # the read-only default of MonopolySeed.params and bench.MethodSpec.options
 
 
 def check_delta(delta: Fraction | int | str | float) -> Fraction:
@@ -133,8 +134,7 @@ def default_round_count(n: int, delta: float) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class Girth5Params:
+class Girth5Params(NamedTuple):
     """Derived parameters of the girth5 construction for a target overhead 2+epsilon.
 
     ``delta`` is the largest slack value (capped at DELTA_CAP) whose growth
@@ -169,16 +169,10 @@ def girth5_params(epsilon: float) -> Girth5Params:
             else:
                 hi = mid
         delta = 0.5 * (lo + hi)
-    return Girth5Params(
-        epsilon=epsilon,
-        delta=delta,
-        rho_max=rho_upper_bound(delta),
-        p2=activation_probability(delta),
-    )
+    return Girth5Params(epsilon, delta, rho_upper_bound(delta), activation_probability(delta))
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     """One sampling round: how many vertices were drawn, which ones were new, hull size after."""
 
     sampled: int
@@ -186,8 +180,7 @@ class RoundRecord:
     hull_size: int
 
 
-@dataclass(frozen=True)
-class Girth5Trace:
+class Girth5Trace(NamedTuple):
     """Round-by-round record of a girth5 construction run."""
 
     kernel: tuple[int, ...]
@@ -197,17 +190,16 @@ class Girth5Trace:
     restarts: int
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {**self._asdict(), "rounds": [r._asdict() for r in self.rounds]}
 
 
-@dataclass(frozen=True)
-class MonopolySeed:
+class MonopolySeed(NamedTuple):
     """A constructed seed with provenance; ``verified`` is set only after a hull check (``_verified``), and
     ``params`` records ``rng_seed`` exactly when the method draws random bits (abw, girth5)."""
 
     method: str
     seed: tuple[int, ...]
-    params: dict = field(default_factory=dict)
+    params: Mapping = EMPTY
     verified: bool = False
     trace: Girth5Trace | None = None
 
@@ -218,7 +210,7 @@ class MonopolySeed:
     def to_json_dict(self) -> dict:
         out = {
             "method": self.method,
-            "params": self.params,
+            "params": dict(self.params),
             "seed": list(self.seed),
             "size": self.size,
             "verified": self.verified,
@@ -247,12 +239,15 @@ def abw_construct(g: Graph, phi: Thresholds, rng_seed: int = 0) -> MonopolySeed:
     already active.  The expected size is exact.abw_bound(g, phi).
     """
     check_thresholds(g, phi)
-    adj, later, seed = g.adj, [0] * g.n, []
-    for u in reversed(shuffled_range(g.n, rng_seed)):  # later[u] counts the neighbors already walked: those after u
-        if later[u] < phi[u]:
+    adj, need, seed = g.adj, list(phi), []
+    for u in reversed(shuffled_range(g.n, rng_seed)):  # need[u]: phi(u) less the neighbors walked (after u), >= 0
+        if need[u]:
             seed.append(u)
+            need[u] = 0
         for v in adj[u]:
-            later[v] += 1
+            k = need[v]
+            if k:  # a walked or satisfied neighbor (need 0) costs this one read
+                need[v] = k - 1
     return _verified(g, phi, "abw", tuple(sorted(seed)), {"rng_seed": rng_seed})
 
 
@@ -417,13 +412,7 @@ def girth5_construct(
             break
     assert best is not None
     seed, records, fallback = best
-    trace = Girth5Trace(
-        kernel=kernel,
-        kernel_hull_size=base.size,
-        rounds=records,
-        fallback_used=fallback,
-        restarts=restarts,
-    )
+    trace = Girth5Trace(kernel, base.size, records, fallback, restarts)
     params = {
         "rho": str(r),
         "delta": str(d),

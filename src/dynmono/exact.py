@@ -25,8 +25,8 @@ and r picks still to make:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cascade import Cascade, Thresholds, check_thresholds
 from .errors import SizeLimitError
@@ -35,8 +35,7 @@ from .graphs import Graph
 DEFAULT_SIZE_LIMIT = 24
 
 
-@dataclass(frozen=True)
-class ExactResult:
+class ExactResult(NamedTuple):
     """``nodes_explored`` is the witness's 1-based position among all vertex subsets in (size, lex)
     order: the cascades an exhaustive search runs.  ``cascades`` counts those this search ran."""
 

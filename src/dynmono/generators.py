@@ -197,8 +197,10 @@ FAMILIES: dict[str, tuple] = {
 def generate(spec: GeneratorSpec) -> Graph:
     """Materialize a GeneratorSpec.  Deterministic given the spec (seed included).
 
-    Before anything is allocated, a graph of more than ``graphs.MAX_VERTICES`` vertices, or a complete graph of
-    more edges than that, is refused with PreconditionError: what ``parse_graph`` could not read back is not built.
+    Before anything is allocated, a graph of more than ``graphs.MAX_VERTICES`` vertices, a complete graph of more
+    edges than that, or a random_girth5 spec whose G(n, p) expects more (p * n(n-1)/2, for a p in (0, 1): any other
+    p gets random_girth5's own message) is refused with PreconditionError: what ``parse_graph`` could not read
+    back is not built.
     """
     build, *fields = FAMILIES[spec.family]
     if "n" in fields and spec.n is None:
@@ -208,5 +210,9 @@ def generate(spec: GeneratorSpec) -> Graph:
         raise PreconditionError(f"{spec.family} with n={spec.n} has {n} vertices, above the limit {limit}")
     if spec.family == "complete" and n > 0 and n * (n - 1) // 2 > limit:
         raise PreconditionError(f"complete with n={n} has {n * (n - 1) // 2} edges, above the limit {limit}")
+    p = spec.p if spec.family == "random_girth5" and spec.p is not None and 0 < spec.p < 1 and n > 0 else 0
+    if p * n * (n - 1) / 2 > limit:
+        raise PreconditionError(f"random_girth5 with n={n}, p={p} expects {p * n * (n - 1) / 2:g} edges, "
+                                f"above the limit {limit}")
     build = globals()[build.__name__]  # looked up at call time, so a wrapper on the module's name sees the call
     return build(*(getattr(spec, f) for f in fields))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,15 @@ def test_to_fraction_exact_and_named():
     for bad in (float("nan"), float("inf"), "nan", "-inf", True, None, [1], 0, "5/3"):
         with pytest.raises(PreconditionError, match="rho"):
             proportional_thresholds(pet, bad)
+
+
+def test_to_fraction_without_the_digit_limit_function(monkeypatch):
+    # Python 3.10 before 3.10.7 has no sys.get_int_max_str_digits: CPython's default limit, 4300, applies
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    with pytest.raises(PreconditionError, match="cannot interpret rho '1e-5000' as a rational"):
+        to_fraction("1e-5000")
+    assert to_fraction("1e-1") == Fraction(1, 10)
+    assert to_fraction("1e-4300") == Fraction(1, 10**4300)
 
 
 def test_proportional_thresholds_exact_ceilings():

@@ -79,6 +79,9 @@ def test_oversize_generator_is_an_input_error(capsys, monkeypatch, tmp_path):
     assert (code, out, err) == (1, "", f"error: instance complete:6: {message}\n")
     code, out, err = run_cli(capsys, "gen", "--family", "path", "--n", "11", "-o", str(out_path))
     assert (code, out, err) == (1, "", "error: path with n=11 has 11 vertices, above the limit 10\n")
+    code, out, err = run_cli(capsys, "gen", "--family", "random_girth5", "--n", "10", "--p", "0.5", "-o", str(out_path))
+    assert (code, out, err) == (1, "", "error: random_girth5 with n=10, p=0.5 expects 22.5 edges, above the limit 10\n")
+    assert not out_path.exists()
     assert run_cli(capsys, "gen", "--family", "complete", "--n", "5", "-o", str(out_path))[0] == 0
 
 

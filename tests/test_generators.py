@@ -57,7 +57,8 @@ def test_generate_calls_builders_by_name(monkeypatch):
 
 
 def test_generate_refuses_sizes_above_the_vertex_limit(monkeypatch):
-    # with the limit lowered to 10, no builder runs for a graph of 11 vertices or a complete graph of 15 edges
+    # with the limit lowered to 10, no builder runs for a graph of 11 vertices, a complete graph of 15 edges or a
+    # random_girth5 spec that expects 22.5 edges; a p random_girth5 refuses itself reaches the builder
     monkeypatch.setattr(graphs, "MAX_VERTICES", 10)
     built = []
     for name in ("path", "star", "complete", "random_girth5"):
@@ -67,15 +68,18 @@ def test_generate_refuses_sizes_above_the_vertex_limit(monkeypatch):
         (GeneratorSpec("star", 10), "star with n=10 has 11 vertices, above the limit 10"),
         (GeneratorSpec("random_girth5", 11, p=0.5), "random_girth5 with n=11 has 11 vertices, above the limit 10"),
         (GeneratorSpec("complete", 6), "complete with n=6 has 15 edges, above the limit 10"),
+        (GeneratorSpec("random_girth5", 10, p=0.5),
+         "random_girth5 with n=10, p=0.5 expects 22.5 edges, above the limit 10"),
     ):
         with pytest.raises(PreconditionError) as info:
             generate(spec)
         assert str(info.value) == message
     assert built == []
     for spec in (GeneratorSpec("path", 10), GeneratorSpec("star", 9), GeneratorSpec("complete", 5),
-                 GeneratorSpec("complete", -3), GeneratorSpec("random_girth5", 10, p=0.5)):
+                 GeneratorSpec("complete", -3), GeneratorSpec("random_girth5", 5, p=0.5),
+                 GeneratorSpec("random_girth5", 10, p=1.5), GeneratorSpec("random_girth5", 10)):
         generate(spec)
-    assert built == ["path", "star", "complete", "complete", "random_girth5"]
+    assert built == ["path", "star", "complete", "complete", "random_girth5", "random_girth5", "random_girth5"]
     assert generate(GeneratorSpec("petersen", 10**9)).n == 10  # petersen reads no n
 
 
