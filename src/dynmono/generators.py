@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from . import graphs
 from .cascade import to_number
 from .errors import PreconditionError
-from .graphs import Graph, connected_components, from_edges, induced_subgraph
+from .graphs import Graph, connected_components, from_edges
 
 
 @dataclass(frozen=True)
@@ -138,15 +138,6 @@ def _gnp_edges(n: int, p: float, rng: random.Random) -> list[tuple[int, int]]:
     return edges
 
 
-def _edge_on_short_cycle(nbr: list[set[int]], u: int, v: int) -> bool:
-    """Does edge (u,v) lie on a cycle of length 3 or 4?"""
-    others = nbr[u] - {v}
-    for a in nbr[v]:
-        if a != u and (a in others or not others.isdisjoint(nbr[a])):
-            return True
-    return False
-
-
 def random_girth5(n: int, p: float | None, rng_seed: int = 0) -> Graph:
     """Seeded G(n, p) repaired to girth >= 5, restricted to its largest component.
 
@@ -158,6 +149,9 @@ def random_girth5(n: int, p: float | None, rng_seed: int = 0) -> Graph:
     only moves forward.  Ties between equally large components go to the
     one containing the smallest vertex id.  The result can have fewer than
     n vertices; ids are relabeled to 0..n'-1 preserving order.
+
+    The graph is built straight from the repaired sets, which are simple and symmetric by construction; its rows
+    stay sorted because each set is sorted once and the relabeling keeps order.
     """
     if p is None:
         raise PreconditionError("random_girth5 requires an edge probability p")
@@ -165,21 +159,28 @@ def random_girth5(n: int, p: float | None, rng_seed: int = 0) -> Graph:
         raise PreconditionError("random_girth5 needs at least one vertex")
     if not 0.0 < p < 1.0:
         raise PreconditionError("edge probability must lie strictly between 0 and 1")
+    if 1.0 - p == 1.0:  # _gnp_edges divides by log(1 - p)
+        raise PreconditionError(f"edge probability p={p} is too small: 1 - p rounds to 1")
     rng = random.Random(rng_seed)
     nbr: list[set[int]] = [set() for _ in range(n)]
     for u, v in _gnp_edges(n, p, rng):
         nbr[u].add(v)
         nbr[v].add(u)
     for u in range(n):
-        for v in sorted(nbr[u]):
-            if v > u and _edge_on_short_cycle(nbr, u, v):
-                nbr[u].discard(v)
-                nbr[v].discard(u)
-    g = from_edges(n, ((u, v) for u in range(n) for v in nbr[u] if u < v))
-    blocks = connected_components(g)
-    biggest = max(blocks, key=len)  # ties: earliest block, i.e. smallest min id
-    sub, _ = induced_subgraph(g, biggest)
-    return sub
+        nu = nbr[u]
+        for v in sorted(nu):
+            if v > u:
+                nu.discard(v)  # nu = N(u) - v: an a in N(v) - u in it or meeting it closes a 3- or 4-cycle via u-v
+                for a in nbr[v]:
+                    if a != u and (a in nu or not nu.isdisjoint(nbr[a])):
+                        nbr[v].discard(u)
+                        break
+                else:
+                    nu.add(v)
+    g = Graph(n, tuple(tuple(sorted(s)) for s in nbr))
+    biggest = max(connected_components(g), key=len)  # ties: earliest block, i.e. smallest min id
+    idmap = {old: new for new, old in enumerate(biggest)}
+    return Graph(len(biggest), tuple(tuple(idmap[v] for v in g.adj[old]) for old in biggest))
 
 
 # Family name -> (builder, *the GeneratorSpec fields it takes, in order): what generate calls and label names.

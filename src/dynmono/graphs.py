@@ -33,10 +33,9 @@ class Graph:
     count equals half the sum of the degrees.  Instances are immutable and
     safe to share read-only across concurrent workers.  Facts computed from
     the adjacency are cached on first use: ``degrees``, ``m``,
-    ``max_degree``, ``girth_at_least_five``, ``is_connected``, one
-    proportional threshold profile per rho, that profile's threshold-1
-    quotient once it is checked twice, and one girth5 prefix per
-    (rho, delta).
+    ``girth_at_least_five``, ``is_connected``, one proportional threshold
+    profile per rho, that profile's threshold-1 quotient once it is checked
+    twice, and one girth5 prefix per (rho, delta).
     """
 
     n: int
@@ -49,10 +48,6 @@ class Graph:
     @cached_property
     def m(self) -> int:
         return sum(self.degrees) // 2
-
-    @cached_property
-    def max_degree(self) -> int:
-        return max(self.degrees, default=0)
 
     girth_at_least_five = cached_property(lambda self: _short_cycle_free(self))
     is_connected = cached_property(lambda self: len(connected_components(self)) <= 1)

@@ -62,7 +62,7 @@ def girth5_instance(n: int, c: float, seed: int, min_max_degree: int = 2) -> Gra
     attempt = 0
     while True:
         g = random_girth5(n, min(0.9, c / n), rng_seed=seed * 1000 + attempt)
-        if g.max_degree >= min_max_degree and g.n >= min(n // 2, 8):
+        if max(g.degrees, default=0) >= min_max_degree and g.n >= min(n // 2, 8):
             return g
         attempt += 1
 

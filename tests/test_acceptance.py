@@ -160,7 +160,7 @@ def test_c06_greedy_kernel_postconditions():
         for idx in range(100):
             n = rng.randint(15, 150)
             g = girth5_instance(n, rng.uniform(1.8, 3.0), seed=idx)
-            rho = Fraction(1, g.max_degree)
+            rho = Fraction(1, max(g.degrees, default=0))
             phi = proportional_thresholds(g, rho)
             low = {u for u, d in enumerate(g.degrees) if d * rho < 1}
             for delta in deltas:
@@ -188,7 +188,7 @@ def test_c07_girth5_procedure_validity():
         survivals = []
         for name, g in instances:
             assert g.is_connected and girth_at_least_five(g)
-            rho = Fraction(1, g.max_degree)
+            rho = Fraction(1, max(g.degrees, default=0))
             delta = Fraction(1, 2)
             ms = girth5_construct(
                 g, rho, delta=delta, rng_seed=7, max_rounds=default_round_count(g.n, 0.5)

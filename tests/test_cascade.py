@@ -150,10 +150,11 @@ def test_effective_rho_same_thresholds():
     for _ in range(30):
         n = rng.randint(2, 15)
         g = gnp(n, 0.4, rng)
-        if g.max_degree == 0:
+        max_degree = max(g.degrees, default=0)
+        if max_degree == 0:
             continue
-        rho = Fraction(1, rng.randint(g.max_degree, 3 * g.max_degree))
-        eff = max(rho, Fraction(1, g.max_degree))  # thresholds are constant in rho on (0, 1/max_degree]
+        rho = Fraction(1, rng.randint(max_degree, 3 * max_degree))
+        eff = max(rho, Fraction(1, max_degree))  # thresholds are constant in rho on (0, 1/max_degree]
         assert proportional_thresholds(g, rho) == proportional_thresholds(g, eff)
 
 
@@ -384,7 +385,7 @@ def test_high_degree_superset_is_monopoly_on_connected():
         if len(connected_components(g)) != 1 or g.m == 0:
             continue
         found += 1
-        rho = Fraction(1, rng.randint(1, g.max_degree + 2))
+        rho = Fraction(1, rng.randint(1, max(g.degrees, default=0) + 2))
         seed = {u for u, d in enumerate(g.degrees) if d * rho >= 1} | {rng.randrange(n)}
         assert is_monopoly(g, proportional_thresholds(g, rho), seed)
 

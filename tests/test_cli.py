@@ -56,6 +56,8 @@ def test_bad_generator_size_is_an_input_error(capsys, tmp_path):
         (["--family", "path", "--n", "-5"], "error: path needs at least one vertex"),
         (["--family", "random_girth5", "--n", "20", "--p", "2"],
          "error: edge probability must lie strictly between 0 and 1"),
+        (["--family", "random_girth5", "--n", "5", "--p", "1e-17"],
+         "error: edge probability p=1e-17 is too small: 1 - p rounds to 1"),
     ):
         code, out, err = run_cli(capsys, "gen", *flags, "-o", str(out_path))
         assert (code, out, err) == (1, "", message + "\n")

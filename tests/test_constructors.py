@@ -239,7 +239,7 @@ def test_greedy_kernel_matches_restart_loop():
     for g in _kernel_graphs():
         for rho in KERNEL_RHOS:
             for delta in KERNEL_DELTAS:
-                if g.max_degree * rho < 1:
+                if max(g.degrees, default=0) * rho < 1:
                     with pytest.raises(PreconditionError):
                         greedy_kernel(g, rho, delta)
                     continue
@@ -264,7 +264,7 @@ def test_kernel_precondition_errors():
 def test_kernel_exit_conditions_exact():
     for idx in range(12):
         g = girth5_instance(60, 2.5, seed=idx)
-        rho = Fraction(1, g.max_degree)
+        rho = Fraction(1, max(g.degrees, default=0))
         for delta in (Fraction(1, 10), Fraction(3, 10), Fraction(1, 2)):
             kernel = greedy_kernel(g, rho, delta)
             phi = proportional_thresholds(g, rho)
@@ -313,7 +313,7 @@ def test_girth5_trace_invariants_recomputed():
     for idx in range(6):
         g = girth5_instance(80, 2.5, seed=100 + idx)
         # at rho = 1/max_degree the kernel alone floods these graphs; 1/3 leaves rounds to run
-        for rho in (Fraction(1, g.max_degree), Fraction(1, 3)):
+        for rho in (Fraction(1, max(g.degrees, default=0)), Fraction(1, 3)):
             ms = girth5_construct(g, rho, delta="1/2", rng_seed=idx, max_restarts=1)
             phi = proportional_thresholds(g, rho)
             trace = ms.trace
@@ -381,9 +381,10 @@ def test_girth5_multi_round_on_spider():
 
 def test_girth5_determinism():
     g = girth5_instance(70, 2.5, seed=55)
+    max_degree = max(g.degrees, default=0)
     # rho = 1/max_degree ends with zero rounds; rho = 1/3 runs one sampling round to a 39-vertex seed
     for rho, rounds, digest in (
-        (Fraction(1, g.max_degree), 0, "2a84948a2021892f3304706a54cc19d78abf4712d85bb2d35c745a3907bd6016"),
+        (Fraction(1, max_degree), 0, "2a84948a2021892f3304706a54cc19d78abf4712d85bb2d35c745a3907bd6016"),
         (Fraction(1, 3), 1, "0781ddfd52012debbf3864ec912650604ccd57f6bec315ec3d9a0c7aa15d5f49"),
     ):
         a = girth5_construct(g, rho, delta="1/2", rng_seed=9, max_restarts=2)
@@ -398,7 +399,7 @@ def test_girth5_determinism():
 
 def test_girth5_restart_accounting():
     g = girth5_instance(80, 2.5, seed=77)
-    rho = Fraction(1, g.max_degree)
+    rho = Fraction(1, max(g.degrees, default=0))
     ms = girth5_construct(g, rho, delta="1/2", rng_seed=4, max_restarts=3)
     assert 0 <= ms.trace.restarts <= 3
     assert ms.params["restarts"] == ms.trace.restarts

@@ -129,9 +129,11 @@ def test_random_girth5_repair_removes_short_cycles():
 
 
 def test_random_girth5_matches_restart_loop():
-    # 72 instances from near-empty to dense (20, 0.5); the restart loop is quadratic, so n stays <= 400
+    # 96 instances from near-empty to dense; the restart loop is quadratic, so n stays <= 400.  Edge cases of the
+    # assembly: (5, 0.01) keeps one vertex at every seed, (13, 0.12) ties two largest components that relabel to
+    # different graphs at seeds 1 and 5, and (12, 0.9) repairs a dense draw
     grid = ((16, 0.3), (20, 0.5), (30, 0.3), (50, 0.15), (80, 0.06), (150, 0.03), (250, 0.015), (400, 0.008),
-            (400, 0.012))
+            (400, 0.012), (5, 0.01), (13, 0.12), (12, 0.9))
     for n, p in grid:
         for seed in range(8):
             assert random_girth5(n, p, rng_seed=seed) == random_girth5_reference(n, p, rng_seed=seed), (n, p, seed)
