@@ -11,10 +11,10 @@ from its seed; an invalid construction aborts the run.  The constructor's own
 check comes first, so from each (instance, rho)'s second check on, both run on
 the cached profile's threshold-1 quotient, built once (see ``cascade``).
 Cells whose preconditions fail are recorded as skipped, not errors.
-``load_config`` checks every field once: ``instances``, ``rhos`` and ``methods``
-must be lists, a method entry becomes its girth5 options, a ``path`` instance a
-``GraphFile``: the file resolved against the config's directory, labelled by
-the path as written.
+``load_config`` checks every field once and refuses an unknown key:
+``instances``, ``rhos`` and ``methods`` must be lists, a method entry becomes
+its girth5 options, a ``path`` instance a ``GraphFile``: the file resolved
+against the config's directory, labelled by the path as written.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Mapping, NamedTuple
 
 from .cascade import from_file, is_monopoly, parse_rho, proportional_thresholds, to_number
-from .constructors import BUILDERS, EMPTY, girth5_options
+from .constructors import BUILDERS, EMPTY, GIRTH5_OPTIONS, girth5_options
 from .errors import InputFormatError, PreconditionError
 from .exact import abw_bound
 from .generators import GeneratorSpec, generate
@@ -90,17 +90,25 @@ class BenchResult(NamedTuple):
     summary: dict[str, dict]
 
 
+def _known(entry: dict, keys, what: str) -> dict:
+    """``entry`` when every key is one of ``keys``; InputFormatError naming the first other key otherwise."""
+    for key in entry:
+        if key not in keys:
+            raise InputFormatError(f"unknown {what} key {key!r}; known: {', '.join(keys)}")
+    return entry
+
+
 def _parse_instance(entry, config_dir: Path) -> GeneratorSpec | GraphFile:
     if isinstance(entry, str):
         return GeneratorSpec(family=entry)
     if not isinstance(entry, dict):
         raise InputFormatError(f"instance entry must be a string or object, got {entry!r}")
     if "path" in entry:
-        written = Path(str(entry["path"]))
+        written = Path(str(_known(entry, ("path",), "path instance")["path"]))
         return GraphFile(config_dir / written, written.as_posix())
     if "family" not in entry:
         raise InputFormatError(f"instance entry needs 'family' or 'path': {entry!r}")
-    return GeneratorSpec.read(entry)
+    return GeneratorSpec.read(_known(entry, ("family", "n", "p", "seed"), "instance"))
 
 
 def _parse_method(entry) -> MethodSpec:
@@ -109,7 +117,7 @@ def _parse_method(entry) -> MethodSpec:
     elif isinstance(entry, dict):
         if "method" not in entry:
             raise InputFormatError(f"method entry needs 'method': {entry!r}")
-        name, extra = str(entry["method"]), entry
+        name, extra = str(entry["method"]), _known(entry, ("method", *GIRTH5_OPTIONS), "method")
     else:
         raise InputFormatError(f"method entry must be a string or object, got {entry!r}")
     if name not in BUILDERS:
@@ -133,6 +141,7 @@ def load_config(path: str | Path) -> BenchConfig:
     if not isinstance(raw, dict):
         raise InputFormatError(f"{path}: config must be a JSON object")
     try:  # a ValueError here is a bad field (InputFormatError and PreconditionError are ValueErrors)
+        _known(raw, BenchConfig._fields, "config")
         config = BenchConfig(
             instances=tuple(_parse_instance(e, Path(path).parent) for e in _list(raw, "instances")),
             rhos=tuple(parse_rho(r) for r in _list(raw, "rhos")),

@@ -269,15 +269,10 @@ def _checked(g: Graph, phi: Thresholds, seed: Iterable[int]) -> list[int]:
     return seed_list
 
 
-def _closed(g: Graph, phi: Thresholds, seed: Iterable[int]) -> list[list[int]]:
-    """The waves of one add of ``seed`` on a fresh state, after ``hull``'s checks of thresholds and ids."""
-    return Cascade(g, phi).add(_checked(g, phi, seed))
-
-
 def hull(g: Graph, phi: Thresholds, seed: Iterable[int]) -> CascadeResult:
     """The activation hull of ``seed``, thresholds and ids checked: one ``Cascade.add`` on a fresh state.
     Vertices with phi = 0 are in every hull and join at round 1 unless seeded."""
-    rounds = {u: r for r, wave in enumerate(_closed(g, phi, seed)) for u in wave}
+    rounds = {u: r for r, wave in enumerate(Cascade(g, phi).add(_checked(g, phi, seed))) for u in wave}
     return CascadeResult(active=frozenset(rounds), rounds=rounds, is_monopoly=len(rounds) == g.n)
 
 

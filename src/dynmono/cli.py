@@ -14,7 +14,8 @@ import time
 from pathlib import Path
 
 from . import bench as bench_mod
-from .cascade import _closed, from_file, from_input, hull, parse_rho, parse_seed_set, proportional_thresholds, to_number
+from .cascade import (from_file, from_input, hull, is_monopoly, parse_rho, parse_seed_set, proportional_thresholds,
+                      to_number)
 from .constructors import BUILDERS, GIRTH5_OPTIONS, check_count, check_epsilon, girth5_options, girth5_params
 from .errors import InputFormatError, PreconditionError, SizeLimitError
 from .exact import DEFAULT_SIZE_LIMIT, min_monopoly_exact
@@ -61,11 +62,11 @@ def cmd_hull(args) -> int:
 def cmd_verify(args) -> int:
     g = from_file(args.graph, "graph", parse_graph)
     phi = proportional_thresholds(g, parse_rho(args.rho))
-    size = sum(map(len, _closed(g, phi, from_file(args.seed_set, "seed", lambda text: parse_seed_set(text, g.n)))))
-    if size == g.n:
+    seed = from_file(args.seed_set, "seed", lambda text: parse_seed_set(text, g.n))
+    if is_monopoly(g, phi, seed):
         print("monopoly: true")
     else:
-        print(f"monopoly: false ({g.n - size} vertices remain inactive)")
+        print(f"monopoly: false ({g.n - len(hull(g, phi, seed).active)} vertices remain inactive)")
     return 0
 
 
@@ -186,7 +187,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except InputFormatError as exc:
+    except (InputFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except PreconditionError as exc:
@@ -195,9 +196,6 @@ def main(argv=None) -> int:
     except SizeLimitError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4

@@ -16,8 +16,8 @@ Four methods, named by their CLI tags:
     hull.  Phase two repeatedly samples vertices outside that hull with
     probability rho/(1-delta) and keeps the samples not already absorbed,
     until the hull covers the graph.  For small enough rho the expected
-    total is ((1+delta) + 1/(1-delta)^2) * rho * n, which a rejection loop
-    (bounded restarts) turns into a size target.
+    total is ((1+delta) + 1/(1-delta)^2) * rho * n; a rejection loop (bounded
+    restarts) targets (1+delta) times that, growth_constant(delta) * rho * n.
 
 ``tree``
     Recursive splitter for trees of order >= 1/rho: pick the high-degree
@@ -454,11 +454,13 @@ def tree_construct(t: Graph, rho: Fraction | int | str | float) -> MonopolySeed:
     left by a Steiner leaf is everything but the leaf and the low-degree
     part hanging off it (its pendant mass), so the rule is "the Steiner
     leaf of smallest pendant mass, then smallest id".  The Steiner tree is
-    built once by peeling low-degree leaves onto their neighbors, and each
-    split only drops the chosen leaf's pendant part, lowers the degree of
-    its one Steiner neighbor and peels forward from there.  With the leaves
-    in a (mass, id) heap the whole run costs O(n log n), on the original
-    vertex ids.
+    built once by peeling low-degree leaves onto their neighbors.  A split
+    drops the chosen leaf u and its pendant mass, which is what is left of
+    u's side of the edge to its one Steiner neighbor x (all peeled onto u;
+    earlier seeds took the rest), lowers the degree of x and peels on.
+    With the leaves in a (mass, id) heap the whole run costs O(n log n), on
+    the original vertex ids; with no high-degree vertex left, the branch is
+    x's component of T minus the seeds, walked once.
     """
     r = to_fraction(rho)
     if not is_tree(t):
@@ -471,7 +473,6 @@ def tree_construct(t: Graph, rho: Fraction | int | str | float) -> MonopolySeed:
     deg = list(t.degrees)  # degree in the current branch
     high = bytearray(1 if d * p >= q else 0 for d in deg)
     n_high = sum(high)
-    alive = bytearray(b"\x01") * n
     n_alive = n
     in_steiner = bytearray(b"\x01") * n
     steiner_deg = deg[:]
@@ -495,12 +496,16 @@ def tree_construct(t: Graph, rho: Fraction | int | str | float) -> MonopolySeed:
     leaves = [(mass[v], v) for v in range(n) if in_steiner[v] and steiner_deg[v] == 1]
     heapq.heapify(leaves)
     seed: list[int] = []
+    x = 0  # a vertex of the current branch
     while True:
         if n_high == 1:
             seed.append(high.index(1))
             break
-        if n_high == 0:
-            seed.append(max(range(n), key=lambda v: deg[v] if alive[v] else -1))
+        if n_high == 0:  # the branch is x's component of t minus the seeds: every cut was made at a seed
+            branch, seeds = [(x, x)], set(seed)  # (vertex, its walk parent): in a tree no other vertex repeats
+            for a, parent in branch:
+                branch += [(b, a) for b in adj[a] if b != parent and b not in seeds]
+            seed.append(min((-deg[v], v) for v, _ in branch)[1])  # largest degree, then smallest id
             break
         _, u = heapq.heappop(leaves)
         seed.append(u)
@@ -512,15 +517,7 @@ def tree_construct(t: Graph, rho: Fraction | int | str | float) -> MonopolySeed:
         in_steiner[u] = 0
         high[u] = 0
         n_high -= 1
-        alive[u] = 0
-        stack = [u]
-        while stack:
-            a = stack.pop()
-            n_alive -= 1
-            for b in adj[a]:
-                if alive[b] and b != x:
-                    alive[b] = 0
-                    stack.append(b)
+        n_alive -= mass[u]
         # x is the only survivor that lost a neighbor, so only x can turn low
         deg[x] -= 1
         steiner_deg[x] -= 1

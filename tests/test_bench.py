@@ -84,6 +84,12 @@ def test_load_config_errors(tmp_path):
         ("methods must be a list", {"methods": "v2"}),
         ("methods must be a list", {"methods": {"method": "v2"}}),
         ("rhos must be a list", {"rhos": None}),
+        # a misspelt key is refused, not silently ignored, at the top level, in an instance and in a method
+        ("unknown config key 'instance'; known: instances, rhos, methods, ", {"instance": ["petersen"]}),
+        ("unknown instance key 'sed'; known: family, n, p, seed", {"instances": [{"family": "petersen", "sed": 5}]}),
+        ("unknown path instance key 'family'; known: path", {"instances": [{"path": "g.txt", "family": "x"}]}),
+        ("unknown method key 'detla'; known: method, delta, epsilon, ",
+         {"methods": [{"method": "girth5", "detla": "1/5", "max_restart": 3}]}),
     ):
         path = _write_config(tmp_path, payload)
         with pytest.raises(InputFormatError, match=f"^{re.escape(str(path))}: .*{field}"):

@@ -576,6 +576,11 @@ TREE_RHOS = [Fraction(1), Fraction(2, 3), Fraction(1, 2), Fraction(2, 5), Fracti
 
 
 def _reference_trees():
+    import networkx as nx
+
+    for n in range(2, 11):  # every tree shape up to 10 vertices: 200 trees
+        for t in nx.nonisomorphic_trees(n):
+            yield from_edges(n, t.edges())
     rng = random.Random(808)
     for n in range(1, 16):
         yield generate(GeneratorSpec("star", n))
