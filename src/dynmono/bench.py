@@ -9,7 +9,7 @@ delta), cached by ``girth5_construct``; only the sampling rounds draw per
 trial.  Every emitted row is re-verified by ``is_monopoly`` on a fresh cascade
 from its seed; an invalid construction aborts the run.  The constructor's own
 check comes first, so from each (instance, rho)'s second check on, both run on
-the cached profile's threshold-1 quotient, built once (see ``cascade``).
+the cached profile's compact threshold-1 quotient, built once, O(k + m') a check (see ``cascade``).
 Cells whose preconditions fail are recorded as skipped, not errors.
 ``load_config`` checks every field once and refuses an unknown key:
 ``instances``, ``rhos`` and ``methods`` must be lists, a method entry becomes

@@ -16,11 +16,12 @@ checks and asks only for coverage, without building a record.  The package runs 
 self-checks, the greedy kernel, and forks for girth5 attempts and exact-search prefixes.
 
 Coverage checks (``is_monopoly`` and the constructors' self-checks) that come back to one profile cached by
-``proportional_thresholds`` run on its threshold-1 quotient: each connected class of threshold-1 vertices is one node
-of threshold 1, named by its smallest member, and each edge between different nodes keeps one adjacency entry, so a
-node may list another twice.  It is exact: a closed set holding one member of a class holds the whole class, so
-hull(D) is V exactly when the cascade from D's image covers every node.  The first check runs plain, the second
-builds the quotient and caches it on the graph, later ones reuse it; any other profile always runs plain.
+``proportional_thresholds`` run on its threshold-1 quotient, a compact graph on nodes 0..k-1 with its own profile:
+each connected class of threshold-1 vertices is one node of threshold 1, every other vertex one node of its own
+threshold, and each edge between different nodes keeps one adjacency entry, so a node may list another twice.  It is
+exact: a closed set holding one member of a class holds the whole class, so hull(D) is V exactly when the cascade
+from D's image covers every node.  The first check runs plain, the second builds the quotient and caches it on the
+graph, later ones reuse it, each in O(k + m') for its m' entries; any other profile always runs plain.
 
 Thresholds of the proportional family are phi(u) = ceil(rho * deg(u)) for a
 rational rho in (0, 1].  All threshold arithmetic is exact: rho is a
@@ -37,7 +38,7 @@ from types import SimpleNamespace
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .errors import InputFormatError, PreconditionError
-from .graphs import Graph
+from .graphs import Graph, connected_components
 
 Thresholds = Sequence[int]
 T = TypeVar("T")
@@ -76,6 +77,13 @@ def to_number(value: object, name: str, kind: type = int) -> int | float:
     except (TypeError, ValueError, OverflowError):
         what = "an integer" if kind is int else "a number"
         raise PreconditionError(f"{name} must be {what}, got {value}") from None
+
+
+def check_count(value: object, name: str) -> int:
+    """A count as a non-negative int; PreconditionError naming ``name`` otherwise."""
+    if (count := to_number(value, name)) < 0:
+        raise PreconditionError(f"{name} must be non-negative, got {count}")
+    return count
 
 
 def from_input(convert: Callable[[object], T], value: object) -> T:
@@ -218,42 +226,33 @@ class Cascade:
 
 
 def _quotient(g: Graph, phi: Thresholds) -> SimpleNamespace:
-    """Contract each connected class of threshold-1 vertices into its smallest member, keeping one entry per edge
-    that leaves the class: ``Cascade`` reads ``n`` and ``adj`` as a Graph's (but a row may repeat a node), ``rep``
-    maps a vertex to its node and ``nodes`` counts them.  Rows are g's own except at a class's smallest member and
-    at its outside neighbours."""
-    adj, rep, rows, nodes, moved = g.adj, list(range(g.n)), list(g.adj), g.n, set()
-    for u in range(g.n):
-        if phi[u] != 1 or rep[u] != u:
-            continue
-        members = [u]
-        for a in members:  # u is the smallest: a threshold-1 b != u with rep[b] == b is unvisited
-            for b in adj[a]:
-                if b != u and rep[b] == b and phi[b] == 1:
-                    rep[b] = u
-                    members.append(b)
-        if len(members) > 1:  # the other members' rows stay unread: they are nobody's neighbour and no image
-            nodes -= len(members) - 1
-            rows[u] = tuple(v for a in members for v in adj[a] if phi[v] != 1)
-            moved.update(v for a in members[1:] for v in adj[a] if phi[v] != 1)
-    for w in moved:
-        rows[w] = tuple(map(rep.__getitem__, adj[w]))
-    return SimpleNamespace(n=g.n, adj=tuple(rows), rep=rep, nodes=nodes)
+    """The threshold-1 quotient as a compact graph with its own profile: nodes 0..k-1 are the connected classes of
+    threshold-1 vertices (``connected_components`` order), then every other vertex, ascending.  ``node`` maps a
+    vertex to its node, ``phi`` is 1 on a class and the vertex's own threshold elsewhere, and a node's row lists
+    ``node[v]`` for each edge (u, v) that leaves it, so a row may repeat a node; ``Cascade`` reads ``n`` and ``adj``
+    as a Graph's."""
+    blocks = connected_components(g, [t == 1 for t in phi]) + [[u] for u, t in enumerate(phi) if t != 1]
+    node, adj = [0] * g.n, g.adj
+    for k, block in enumerate(blocks):
+        for u in block:
+            node[u] = k
+    rows = tuple(tuple(node[v] for u in block for v in adj[u] if node[v] != k) for k, block in enumerate(blocks))
+    return SimpleNamespace(n=len(blocks), adj=rows, phi=[phi[block[0]] for block in blocks], node=node)
 
 
 def _covers(g: Graph, phi: Thresholds, seed: Iterable[int]) -> bool:
     """True iff a fresh Cascade from ``seed`` (valid ids) covers g: plain, or from the second check of a profile
     cached on g, on its quotient, built by that check (see the module docstring)."""
-    quotients, net, image, nodes = g._quotients, g, seed, g.n
+    quotients, net, image = g._quotients, g, seed
     rho = next((r for r, t in g._profiles.items() if t is phi), None)
     if rho in quotients:
         net = quotients[rho] = quotients[rho] or _quotient(g, phi)
-        image, nodes = map(net.rep.__getitem__, seed), net.nodes
+        phi, image = net.phi, map(net.node.__getitem__, seed)
     elif rho is not None:
         quotients[rho] = None
     state = Cascade(net, phi)
     state.add(image)
-    return state.size == nodes
+    return state.size == net.n
 
 
 def _checked(g: Graph, phi: Thresholds, seed: Iterable[int]) -> list[int]:

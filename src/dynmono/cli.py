@@ -14,9 +14,9 @@ import time
 from pathlib import Path
 
 from . import bench as bench_mod
-from .cascade import (from_file, from_input, hull, is_monopoly, parse_rho, parse_seed_set, proportional_thresholds,
-                      to_number)
-from .constructors import BUILDERS, GIRTH5_OPTIONS, check_count, check_epsilon, girth5_options, girth5_params
+from .cascade import (check_count, from_file, from_input, hull, is_monopoly, parse_rho, parse_seed_set,
+                      proportional_thresholds)
+from .constructors import BUILDERS, GIRTH5_OPTIONS, check_epsilon, girth5_options, girth5_params
 from .errors import InputFormatError, PreconditionError, SizeLimitError
 from .exact import DEFAULT_SIZE_LIMIT, min_monopoly_exact
 from .generators import FAMILIES, GeneratorSpec, generate
@@ -89,7 +89,7 @@ def cmd_solve(args) -> int:
 def cmd_construct(args) -> int:
     g = from_file(args.graph, "graph", parse_graph)
     options = from_input(girth5_options, {name: getattr(args, name) for name in GIRTH5_OPTIONS})
-    rng_seed = from_input(lambda value: to_number(value, "rng_seed"), args.rng_seed)
+    rng_seed = from_input(lambda value: check_count(value, "rng_seed"), args.rng_seed)
     seed = BUILDERS[args.method](g, parse_rho(args.rho), rng_seed, **options)
     print(json.dumps(seed.to_json_dict(), indent=2))
     return 0

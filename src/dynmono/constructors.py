@@ -45,7 +45,8 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
-from .cascade import Cascade, Thresholds, _covers, check_thresholds, proportional_thresholds, to_fraction, to_number
+from .cascade import (Cascade, Thresholds, _covers, check_count, check_thresholds, proportional_thresholds, to_fraction,
+                      to_number)
 from .errors import PreconditionError
 from .graphs import Graph, girth_at_least_five, is_tree
 from .seeding import shuffled_range, stable_seed
@@ -66,13 +67,6 @@ def check_epsilon(epsilon: float | int | str) -> float:
     if not 0 < e < math.inf:
         raise PreconditionError(f"epsilon must be a finite number above 0, got {e}")
     return e
-
-
-def check_count(value: object, name: str) -> int:
-    """A count as a non-negative int; PreconditionError naming ``name`` otherwise."""
-    if (count := to_number(value, name)) < 0:
-        raise PreconditionError(f"{name} must be non-negative, got {count}")
-    return count
 
 
 def _flag(value: object, name: str) -> bool:
@@ -223,7 +217,7 @@ class MonopolySeed(NamedTuple):
 def _verified(g: Graph, phi: Thresholds, method: str, seed: tuple[int, ...], params: dict,
               trace: Girth5Trace | None = None) -> MonopolySeed:
     """The seed's record, marked verified once a fresh Cascade from the seed covers the graph (``cascade._covers``:
-    from a cached profile's second check on, the cascade runs on its threshold-1 quotient)."""
+    from a cached profile's second check on, on its compact threshold-1 quotient, in O(k + m') per check)."""
     if not _covers(g, phi, seed):
         raise AssertionError(f"{method} produced a non-monopoly seed")
     return MonopolySeed(method=method, seed=seed, params=params, verified=True, trace=trace)
@@ -232,7 +226,7 @@ def _verified(g: Graph, phi: Thresholds, method: str, seed: tuple[int, ...], par
 def abw_construct(g: Graph, phi: Thresholds, rng_seed: int = 0) -> MonopolySeed:
     """Random-permutation seed: shuffle the vertices and seed u iff fewer than phi(u) neighbors come after u.
 
-    The order is exactly ``random.Random(rng_seed).shuffle``'s, from ``shuffled_range``.
+    The order is exactly ``random.Random(rng_seed).shuffle``'s, from ``shuffled_range``; a negative seed is refused.
 
     Activating the other vertices in reverse order witnesses a monopoly for
     every order: each has at least phi(u) neighbors later in the order, all

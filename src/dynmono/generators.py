@@ -8,9 +8,10 @@ import random
 from dataclasses import dataclass
 
 from . import graphs
-from .cascade import to_number
+from .cascade import check_count, to_number
 from .errors import PreconditionError
 from .graphs import Graph, connected_components, from_edges
+from .seeding import seeded_random
 
 
 @dataclass(frozen=True)
@@ -36,12 +37,13 @@ class GeneratorSpec:
     @classmethod
     def read(cls, entry: dict) -> GeneratorSpec:
         """A spec from raw values, a bench config entry or the ``gen`` flags: ``family``, and ``n``, ``p`` and
-        ``seed`` read with ``cascade.to_number`` (an absent or None ``n`` or ``p`` is unset); other keys are ignored."""
+        ``seed`` read with ``cascade.to_number`` (``seed`` a non-negative count; an absent or None ``n`` or ``p`` is
+        unset); other keys are ignored."""
         return cls(
             family=str(entry["family"]),
             n=None if entry.get("n") is None else to_number(entry["n"], "n"),
             p=None if entry.get("p") is None else to_number(entry["p"], "p", float),
-            rng_seed=to_number(entry.get("seed", 0), "seed"),
+            rng_seed=check_count(entry.get("seed", 0), "seed"),
         )
 
 
@@ -117,7 +119,7 @@ def prufer_decode(seq: list[int], n: int) -> Graph:
 
 def random_tree(n: int, rng_seed: int = 0) -> Graph:
     """Uniformly random labeled tree via a random decode sequence."""
-    rng = random.Random(rng_seed)
+    rng = seeded_random(rng_seed)
     seq = [rng.randrange(n) for _ in range(max(0, n - 2))]
     return prufer_decode(seq, n)
 
@@ -161,7 +163,7 @@ def random_girth5(n: int, p: float | None, rng_seed: int = 0) -> Graph:
         raise PreconditionError("edge probability must lie strictly between 0 and 1")
     if 1.0 - p == 1.0:  # _gnp_edges divides by log(1 - p)
         raise PreconditionError(f"edge probability p={p} is too small: 1 - p rounds to 1")
-    rng = random.Random(rng_seed)
+    rng = seeded_random(rng_seed)
     nbr: list[set[int]] = [set() for _ in range(n)]
     for u, v in _gnp_edges(n, p, rng):
         nbr[u].add(v)

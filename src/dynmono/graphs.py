@@ -10,7 +10,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
-from typing import Iterable, Iterator
+from operator import not_
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InputFormatError, PreconditionError
 
@@ -34,8 +35,8 @@ class Graph:
     safe to share read-only across concurrent workers.  Facts computed from
     the adjacency are cached on first use: ``degrees``, ``m``,
     ``girth_at_least_five``, ``is_connected``, one proportional threshold
-    profile per rho, that profile's threshold-1 quotient once it is checked
-    twice, and one girth5 prefix per (rho, delta).
+    profile per rho, that profile's compact threshold-1 quotient (own nodes
+    and profile) once it is checked twice, and one girth5 prefix per (rho, delta).
     """
 
     n: int
@@ -171,25 +172,22 @@ def serialize_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Partition 0..n-1 into maximal connected blocks, ordered by smallest member."""
-    seen = bytearray(g.n)
+def connected_components(g: Graph, keep: Sequence[bool] | None = None) -> list[list[int]]:
+    """Partition 0..n-1, or with a length-n mask the vertices u with ``keep[u]`` true, into the maximal connected
+    blocks of the graph they induce, each sorted, ordered by smallest member."""
+    seen = bytearray(g.n) if keep is None else bytearray(map(not_, keep))
     blocks: list[list[int]] = []
     for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        block = [start]
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in g.adj[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    block.append(v)
-                    queue.append(v)
-        block.sort()
-        blocks.append(block)
+        if not seen[start]:
+            seen[start] = 1
+            block = [start]
+            for u in block:
+                for v in g.adj[u]:
+                    if not seen[v]:
+                        seen[v] = 1
+                        block.append(v)
+            block.sort()
+            blocks.append(block)
     return blocks
 
 
@@ -240,9 +238,7 @@ def girth(g: Graph) -> int | float:
         touched = [root]
         dist[root] = 0
         parent[root] = root
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
+        for u in touched:  # the BFS queue: touched grows as it is walked
             du = dist[u]
             if 2 * du + 1 >= best:
                 break
@@ -253,7 +249,6 @@ def girth(g: Graph) -> int | float:
                     dist[v] = du + 1
                     parent[v] = u
                     touched.append(v)
-                    queue.append(v)
                 else:
                     cand = du + dist[v] + 1
                     if cand < best:

@@ -11,17 +11,26 @@ from __future__ import annotations
 import hashlib
 import random
 
+from .errors import PreconditionError
+
 
 def stable_seed(*parts: object) -> int:
     text = "|".join(str(p) for p in parts)
     return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
 
 
+def seeded_random(rng_seed: int) -> random.Random:
+    """``random.Random(rng_seed)``, refusing a negative seed: CPython seeds -7 as 7, silently repeating its stream."""
+    if rng_seed < 0:
+        raise PreconditionError(f"rng_seed must be non-negative, got {rng_seed}")
+    return random.Random(rng_seed)
+
+
 def shuffled_range(n: int, rng_seed: int) -> list[int]:
     """``random.Random(rng_seed).shuffle(list(range(n)))``'s order, about twice as fast: the same Fisher-Yates
     swaps, with ``_randbelow``'s ``getrandbits`` draws and rejections inlined."""
     order = list(range(n))
-    getrandbits = random.Random(rng_seed).getrandbits
+    getrandbits = seeded_random(rng_seed).getrandbits
     for i in range(n - 1, 0, -1):
         k = (i + 1).bit_length()
         j = getrandbits(k)

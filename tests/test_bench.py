@@ -296,6 +296,20 @@ def test_path_instances_are_keyed_by_the_path_as_written(monkeypatch, tmp_path):
     assert len(set(seeds)) == 4
 
 
+def test_config_output_is_relative_to_the_working_directory(monkeypatch, tmp_path, capsys):
+    # a path instance resolves against the config's directory, the config's output against the working directory
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "run").mkdir()
+    (tmp_path / "sub" / "g.txt").write_text(serialize_graph(generate(GeneratorSpec("petersen"))))
+    payload = {"instances": [{"path": "g.txt"}], "rhos": ["1/3"], "methods": ["v2"], "output": "out.csv"}
+    (tmp_path / "sub" / "c.json").write_text(json.dumps(payload))
+    monkeypatch.chdir(tmp_path / "run")
+    assert main(["bench", "--config", "../sub/c.json"]) == 0
+    assert capsys.readouterr().out.startswith("wrote out.csv\n")
+    assert not (tmp_path / "sub" / "out.csv").exists()
+    assert (tmp_path / "run" / "out.csv").read_text().splitlines()[1].startswith("g.txt,10,15,1/3,,v2,0,")
+
+
 def test_skipped_cells_record_reason():
     config = BenchConfig(
         instances=(GeneratorSpec("star", 4),),

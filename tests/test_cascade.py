@@ -23,6 +23,7 @@ from dynmono import (
     to_fraction,
     v2_baseline,
 )
+from dynmono import cascade as cascade_mod
 from dynmono.cascade import Cascade, _quotient, check_thresholds, parse_seed_set
 from dynmono.constructors import greedy_kernel
 from dynmono.generators import petersen
@@ -453,18 +454,32 @@ def test_quotient_coverage_matches_plain_cascade(case):
 
 
 def test_quotient_keeps_one_entry_per_edge():
-    # at rho 1/3 vertex 0 (degree 4) needs 2 hits: the class {1, 2, 3} gives it two, one per edge, each leaf one
+    # at rho 1/3 vertex 0 (degree 4) needs 2 hits: the class {1, 2, 3} gives it two, one per edge, each leaf one;
+    # the classes come first (by smallest member), then the other vertices, and a class's inner edges are dropped
     g = from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (0, 5)])
     phi = proportional_thresholds(g, "1/3")
     assert phi == (2, 1, 1, 1, 1, 1)
     q = _quotient(g, phi)
-    assert (q.n, q.nodes, q.rep, q.adj[0], q.adj[1]) == (6, 4, [0, 1, 1, 1, 4, 5], (1, 1, 4, 5), (0, 0))
-    assert q.adj[4] is g.adj[4]  # no class neighbour: g's own row
+    assert (q.n, q.phi, q.node, q.adj) == (4, [1, 1, 1, 2], [3, 0, 0, 0, 1, 2], ((3, 3), (3,), (3,), (0, 0, 1, 2)))
     for _ in range(3):
         assert is_monopoly(g, phi, [2]) and is_monopoly(g, phi, [4, 5]) and not is_monopoly(g, phi, [4])
     cycle = generate(GeneratorSpec("cycle", 40))  # one class: one node with no entries
     q = _quotient(cycle, proportional_thresholds(cycle, "1/2"))
-    assert (q.nodes, set(q.rep), q.adj[0]) == (1, {0}, ())
+    assert (q.n, q.phi, set(q.node), q.adj) == (1, [1], {0}, ((),))
+    g = from_edges(3, [(0, 1)])  # an isolated vertex has threshold 0: a node of its own with no entries
+    q = _quotient(g, proportional_thresholds(g, "1/2"))
+    assert (q.n, q.phi, q.node, q.adj) == (2, [1, 0], [0, 0, 1], ((), ()))
+
+
+def test_quotient_check_allocates_per_node(monkeypatch):
+    # every vertex of cycle 2000 has threshold 1 at each rho: after the first (plain) check, each check runs a
+    # one-node Cascade on the quotient, not an n-sized one
+    cycle = generate(GeneratorSpec("cycle", 2000))
+    phi = proportional_thresholds(cycle, "1/8")
+    sizes, engine = [], cascade_mod.Cascade
+    monkeypatch.setattr(cascade_mod, "Cascade", lambda net, phi: sizes.append(net.n) or engine(net, phi))
+    assert [is_monopoly(cycle, phi, seed) for seed in ([5], [7], [], [0, 1999])] == [True, True, False, True]
+    assert sizes == [2000, 1, 1, 1]
 
 
 def test_parse_seed_set():

@@ -95,6 +95,7 @@ def test_cli_numbers_read_like_bench_numbers(capsys, tmp_path, petersen_file):
         ("n", "2.5", "n must be an integer, got 2.5"),
         ("p", "abc", "p must be a number, got abc"),
         ("seed", "x", "seed must be an integer, got x"),
+        ("seed", "-7", "seed must be non-negative, got -7"),  # CPython would seed -7 as 7
     ):
         entry = {**flags, key: value}
         argv = [arg for name, text in entry.items() for arg in (f"--{name}", text)]
@@ -106,6 +107,7 @@ def test_cli_numbers_read_like_bench_numbers(capsys, tmp_path, petersen_file):
         assert (code, out, err) == (1, "", f"error: {cfg_path}: {message}\n")
     for argv, message in (
         (["construct", "--method", "abw", "--rng-seed", "1.5"], "rng_seed must be an integer, got 1.5"),
+        (["construct", "--method", "tree", "--rng-seed", "-9"], "rng_seed must be non-negative, got -9"),
         (["solve", "--limit", "2.5"], "limit must be an integer, got 2.5"),
     ):
         code, out, err = run_cli(capsys, *argv, "-g", str(petersen_file), "--rho", "1/2")

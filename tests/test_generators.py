@@ -6,8 +6,9 @@ import random
 import pytest
 
 from dynmono import GeneratorSpec, PreconditionError, generate, girth, random_girth5, random_tree, serialize_graph
+from dynmono import abw_construct, proportional_thresholds
 from dynmono import generators, graphs
-from dynmono.generators import prufer_decode
+from dynmono.generators import petersen, prufer_decode
 from dynmono.graphs import connected_components, girth_at_least_five, is_tree
 from oracles import random_girth5_reference
 
@@ -110,6 +111,17 @@ def test_random_tree_is_tree_and_deterministic():
         assert t.n == n and t.m == n - 1 if n > 1 else t.m == 0
         assert t == random_tree(n, rng_seed=7)
     assert random_tree(9, rng_seed=7) != random_tree(9, rng_seed=8)
+
+
+def test_negative_rng_seeds_are_refused():
+    # CPython seeds random.Random(-7) as random.Random(7), so a negative seed would silently repeat 7's output
+    pet = petersen()
+    for build in (lambda: random_tree(30, -7), lambda: random_girth5(30, 0.1, -7),
+                  lambda: abw_construct(pet, proportional_thresholds(pet, "1/3"), rng_seed=-7)):
+        with pytest.raises(PreconditionError, match="^rng_seed must be non-negative, got -7$"):
+            build()
+    with pytest.raises(PreconditionError, match="^rng_seed must be non-negative, got -7$"):
+        generate(GeneratorSpec("random_tree", 30, rng_seed=-7))
 
 
 def test_random_girth5_output_contract():

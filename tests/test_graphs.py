@@ -366,6 +366,20 @@ def test_components():
     assert from_edges(0, []).is_connected
 
 
+def test_components_of_a_mask_match_the_induced_subgraph():
+    # a mask gives the components of the subgraph the kept vertices induce, in g's ids, ordered by smallest member
+    rng = random.Random(17)
+    assert connected_components(from_edges(0, []), []) == []
+    for _ in range(200):
+        g = gnp(rng.randint(1, 16), rng.choice((0.1, 0.25, 0.5)), rng)
+        for mask in ([False] * g.n, [True] * g.n, [rng.random() < 0.6 for _ in range(g.n)]):
+            kept = [u for u in range(g.n) if mask[u]]
+            h, idmap = induced_subgraph(g, kept)
+            back = {new: old for old, new in idmap.items()}
+            assert connected_components(g, mask) == [[back[u] for u in block] for block in connected_components(h)]
+        assert connected_components(g, [True] * g.n) == connected_components(g)
+
+
 def test_induced_subgraph():
     star = generate(GeneratorSpec("star", 4))
     sub, idmap = induced_subgraph(star, [0, 2])
