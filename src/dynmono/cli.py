@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -75,7 +76,10 @@ def cmd_solve(args) -> int:
     g = from_file(args.graph, "graph", parse_graph)
     phi = proportional_thresholds(g, parse_rho(args.rho))
     t0 = time.perf_counter()
-    result = min_monopoly_exact(g, phi, limit=limit, force=args.force)
+    try:
+        result = min_monopoly_exact(g, phi, limit=limit, force=args.force)
+    except SizeLimitError:  # the library's message names its keyword, not the flags
+        raise SizeLimitError(f"exact search on {g.n} vertices exceeds --limit {limit}; pass --force to override")
     record = {
         "h": result.h,
         "witness": sorted(result.witness),
@@ -161,32 +165,38 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """Every command's parser, or ``command``'s alone (what ``main`` builds to run it).
+def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    func, _, arguments = COMMANDS[name]
+    for flags, keywords in arguments:
+        parser.add_argument(*flags, **keywords)
+    parser.set_defaults(func=func, command=name)
+    return parser
 
-    The one-command parser pins the subcommand metavar, so both print the same usage line; the full
-    parser leaves it unset, so its unknown-command error still names the argument "command"."""
+
+def build_parser() -> argparse.ArgumentParser:
+    """Every command's parser; ``main`` builds it only to word a bare program, an unknown command or stray arguments."""
     parser = _Parser(prog="dynmono", description="Dynamic monopolies for degree-proportional thresholds")
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in COMMANDS if command is None else (command,):
-        func, help_text, arguments = COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        for flags, keywords in arguments:
-            p.add_argument(*flags, **keywords)
-        p.set_defaults(func=func)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, _) in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command line, parsed by its command's own parser (see ``build_parser``); return its exit code."""
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args, stray = (_add_command(_Parser(prog=f"dynmono {argv[0]}"), argv[0]).parse_known_args(argv[1:])
+                       if argv and argv[0] in COMMANDS else (None, True))
+        args = build_parser().parse_args(argv) if stray else args
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left early shows here, not in the interpreter's exit flush
+        return code
+    except SystemExit as exc:  # help, or a usage error
         return exc.code if isinstance(exc.code, int) else 1
-    try:
-        return args.func(args)
+    except BrokenPipeError:  # the reader of stdout left: say nothing, and let the exit flush write to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (InputFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

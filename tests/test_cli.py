@@ -199,8 +199,11 @@ def test_solve(capsys, tmp_path):
 def test_solve_size_limit(capsys, tmp_path):
     path = tmp_path / "p30.txt"
     main(["gen", "--family", "path", "--n", "30", "-o", str(path)])
-    code, _, err = run_cli(capsys, "solve", "-g", str(path), "--rho", "1/2")
-    assert code == 3 and "refused" in err
+    code, out, err = run_cli(capsys, "solve", "-g", str(path), "--rho", "1/2")
+    # the refusal names the flags that lift it, not the library's keyword
+    assert (code, out, err) == (3, "", "refused: exact search on 30 vertices exceeds --limit 24; pass --force to override\n")
+    code, _, err = run_cli(capsys, "solve", "-g", str(path), "--rho", "1/2", "--limit", "29")
+    assert code == 3 and err == "refused: exact search on 30 vertices exceeds --limit 29; pass --force to override\n"
     code, out, _ = run_cli(capsys, "solve", "-g", str(path), "--rho", "1/2", "--force")
     assert code == 0 and json.loads(out)["h"] == 1
     code, out, err = run_cli(capsys, "solve", "-g", str(path), "--rho", "1/2", "--limit", "-1")
@@ -433,10 +436,14 @@ def usage_cases():
         for flags, keywords in arguments:
             if "choices" in keywords:
                 yield argv({**required, flags[-1]: "nosuch"})
+    # an abbreviated flag, an ambiguous one, a `--` separator, a repeated flag, and a bad flag before -h
+    yield from (["verify", "--rh", "1"], ["construct", "--max", "1"], ["girth", "-g", "x", "--", "extra"],
+                ["solve", "--rho", "1", "--rho", "2"], ["solve", "--bogus", "-h"])
 
 
-def test_cli_text_matches_the_full_parser(capsys):
-    # a run parses with its own command's parser only; every help, usage line and error reads as the full parser's
+def test_cli_text_matches_the_full_parser(capsys, monkeypatch):
+    # a run parses with its own command's parser only; every help, usage line and error reads as the full parser's,
+    # at two terminal widths
     def outcome(parse, argv):
         capsys.readouterr()
         try:
@@ -446,11 +453,13 @@ def test_cli_text_matches_the_full_parser(capsys):
         captured = capsys.readouterr()
         return argv, code, captured.out, captured.err
 
-    for argv in usage_cases():
-        full = outcome(lambda args: build_parser().parse_args(args), argv)
-        code = 0 if "-h" in argv else 1
-        assert full[1] == code and (full[2] if code == 0 else full[3].startswith("usage: dynmono"))
-        assert outcome(main, argv) == full
+    for columns in ("150", "80"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in usage_cases():
+            full = outcome(lambda args: build_parser().parse_args(args), argv)
+            code = 0 if "-h" in argv else 1
+            assert full[1] == code and (full[2] if code == 0 else full[3].startswith("usage: dynmono"))
+            assert outcome(main, argv) == full
     # the top-level text both parsers share
     usage = "usage: dynmono [-h] {gen,girth,hull,verify,solve,construct,params,bench} ...\n"
     choices = ", ".join(map(repr, COMMANDS))
@@ -460,22 +469,74 @@ def test_cli_text_matches_the_full_parser(capsys):
     assert outcome(main, ["girth", "-g", "x", "extra"])[3] == f"{usage}dynmono: error: unrecognized arguments: extra\n"
 
 
+def test_a_run_reads_the_namespace_of_the_full_parser(monkeypatch):
+    # every flag set, and only the required ones: main hands its command the namespace of build_parser(),
+    # func and command included
+    for name, (func, help_text, arguments) in COMMANDS.items():
+        every, required = [name], [name]
+        for i, (flags, keywords) in enumerate(arguments):
+            value = [] if keywords.get("action") == "store_true" else [keywords.get("choices", [f"v{i}"])[-1]]
+            every += [flags[i % len(flags)], *value]
+            required += [flags[0], *value] if keywords.get("required") else []
+        for argv in (every, required):
+            expected = vars(build_parser().parse_args(argv))
+            assert expected["func"] is func and expected["command"] == name
+            read = []
+
+            def record(args):
+                read.append(vars(args))
+                return 0
+
+            monkeypatch.setitem(COMMANDS, name, (record, help_text, arguments))
+            assert main(argv) == 0
+            monkeypatch.setitem(COMMANDS, name, (func, help_text, arguments))
+            assert read == [{**expected, "func": record}]
+
+
 def test_a_run_builds_its_own_command_parser_only(monkeypatch, tmp_path):
     path = tmp_path / "c5.txt"
     assert main(["gen", "--family", "cycle", "--n", "5", "-o", str(path)]) == 0
     built = []
-    add_parser = argparse._SubParsersAction.add_parser
+    init, add_subparsers = argparse.ArgumentParser.__init__, argparse.ArgumentParser.add_subparsers
 
-    def counting(self, name, **kwargs):
-        built.append(name)
-        return add_parser(self, name, **kwargs)
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    def counting_add_subparsers(self, **kwargs):
+        built.append("subparsers")
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting_add_subparsers)
+    full = ["dynmono", "subparsers", *(f"dynmono {name}" for name in COMMANDS)]
     assert main(["solve", "-g", str(path), "--rho", "1"]) == 0
-    assert built == ["solve"]
+    assert built == ["dynmono solve"]
     built.clear()
     assert main(["nosuchcommand"]) == 1
-    assert built == list(COMMANDS)
+    assert built == full
+    built.clear()
+    assert main(["solve", "-g", str(path), "--rho", "1", "extra"]) == 1
+    assert built == ["dynmono solve", *full]
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_reader_that_leaves_early_gets_exit_1_and_no_message(tmp_path, unbuffered):
+    # the hull record (about 0.3 MB) outgrows the 64 KiB pipe buffer, so the write fails inside the command;
+    # params' few lines fail at main's flush, or at once when unbuffered
+    graph, seed = tmp_path / "p.txt", tmp_path / "seed.txt"
+    assert main(["gen", "--family", "path", "--n", "10000", "-o", str(graph)]) == 0
+    seed.write_text("0\n", encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(dynmono.__file__).resolve().parents[1]), "PYTHONUNBUFFERED": unbuffered}
+    for argv, read in ((["hull", "-g", str(graph), "--rho", "1/2", "--seed-set", str(seed), "--json"], 1),
+                       (["params", "--epsilon", "0.5"], 0)):
+        proc = subprocess.Popen([sys.executable, "-m", "dynmono", *argv], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env)
+        assert len(proc.stdout.read(read)) == read
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 def test_console_entry_reads_sys_argv(capsys, tmp_path):
