@@ -5,12 +5,10 @@ seed derived by a stable hash of (base, family, n, rho, method, trial), so
 adding cells to a config never perturbs existing cells.  A method whose seed
 record has no ``rng_seed`` drew no random bits: its cell stops after one
 trial.  The trials of a girth5 cell share one greedy kernel per (graph, rho,
-delta), cached by ``girth5_construct``; only the sampling rounds draw per
-trial.  Every emitted row is re-verified by ``is_monopoly`` on a fresh cascade
-from its seed; an invalid construction aborts the run.  The constructor's own
-check comes first, so from each (instance, rho)'s second check on, both run on
-the cached profile's compact threshold-1 quotient, built once, O(k + m') a check (see ``cascade``).
-Cells whose preconditions fail are recorded as skipped, not errors.
+delta), cached by ``greedy_kernel``; only the sampling rounds draw per trial.
+Every emitted row is re-verified by ``is_monopoly`` on a fresh cascade from its
+seed (``cascade`` says when that runs on a quotient); an invalid construction
+aborts the run.  Cells whose preconditions fail are recorded as skipped, not errors.
 ``load_config`` checks every field once and refuses an unknown key:
 ``instances``, ``rhos`` and ``methods`` must be lists, a method entry becomes
 its girth5 options, a ``path`` instance a ``GraphFile``: the file resolved

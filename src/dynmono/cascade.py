@@ -281,19 +281,8 @@ def is_monopoly(g: Graph, phi: Thresholds, seed: Iterable[int]) -> bool:
 
 
 def parse_seed_set(text: str, n: int) -> tuple[int, ...]:
-    """Parse a seed-set document: whitespace-separated 0-based ids, '#' comments.
-
-    A valid document without '#' is accepted with builtins; any other goes to
-    the line walk, which names the first bad id with its line number.
-    """
-    if "#" not in text:
-        try:
-            ids = set(map(int, text.split()))
-        except ValueError:
-            pass
-        else:
-            if not ids or min(ids) >= 0 and max(ids) < n:
-                return tuple(sorted(ids))
+    """Parse a seed-set document: whitespace-separated 0-based ids, '#' comments; the first bad id is named with
+    its line number."""
     ids = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]

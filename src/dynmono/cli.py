@@ -31,6 +31,9 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    def _print_message(self, message, file=None):  # argparse drops an OSError here; a reader that left is main's
+        (file or sys.stderr).write(message)
+
 
 def cmd_gen(args) -> int:
     spec = from_input(GeneratorSpec.read, vars(args))
@@ -186,14 +189,15 @@ def main(argv=None) -> int:
     """Run one command line, parsed by its command's own parser (see ``build_parser``); return its exit code."""
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args, stray = (_add_command(_Parser(prog=f"dynmono {argv[0]}"), argv[0]).parse_known_args(argv[1:])
-                       if argv and argv[0] in COMMANDS else (None, True))
-        args = build_parser().parse_args(argv) if stray else args
-        code = args.func(args)
+        try:
+            args, stray = (_add_command(_Parser(prog=f"dynmono {argv[0]}"), argv[0]).parse_known_args(argv[1:])
+                           if argv and argv[0] in COMMANDS else (None, True))
+            args = build_parser().parse_args(argv) if stray else args
+            code = args.func(args)
+        except SystemExit as exc:  # help, or a usage error
+            code = exc.code if isinstance(exc.code, int) else 1
         sys.stdout.flush()  # a reader that left early shows here, not in the interpreter's exit flush
         return code
-    except SystemExit as exc:  # help, or a usage error
-        return exc.code if isinstance(exc.code, int) else 1
     except BrokenPipeError:  # the reader of stdout left: say nothing, and let the exit flush write to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1

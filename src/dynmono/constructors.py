@@ -216,8 +216,7 @@ class MonopolySeed(NamedTuple):
 
 def _verified(g: Graph, phi: Thresholds, method: str, seed: tuple[int, ...], params: dict,
               trace: Girth5Trace | None = None) -> MonopolySeed:
-    """The seed's record, marked verified once a fresh Cascade from the seed covers the graph (``cascade._covers``:
-    from a cached profile's second check on, on its compact threshold-1 quotient, in O(k + m') per check)."""
+    """The seed's record, marked verified once a fresh Cascade from the seed covers the graph (``cascade._covers``)."""
     if not _covers(g, phi, seed):
         raise AssertionError(f"{method} produced a non-monopoly seed")
     return MonopolySeed(method=method, seed=seed, params=params, verified=True, trace=trace)
@@ -263,7 +262,8 @@ def greedy_kernel(
     The kernel hull only grows, so a vertex that fails the test once fails
     it for good and each pick has a larger id than the last: one forward
     pass over the high-degree vertices, extending one ``Cascade`` per pick,
-    chooses the same kernel in O(n + m).
+    chooses the same kernel in O(n + m).  The closed ``Cascade`` and the
+    vertices outside its hull stay on ``g`` per (rho, delta) for girth5.
     """
     r = to_fraction(rho)
     d = check_delta(delta)
@@ -273,7 +273,8 @@ def greedy_kernel(
         raise PreconditionError("no vertex of degree >= 1/rho: greedy kernel undefined")
     dp, dq = d.numerator, d.denominator  # count > deg/(1+d)  <=>  count*(dp+dq) > deg*dq
     low = bytearray(deg * p < q for deg in degrees)  # the complement of high, as a mask
-    state = Cascade(g, proportional_thresholds(g, r))  # its phi = 0 vertices are isolated: no one's neighbors
+    state = Cascade(g, proportional_thresholds(g, r))
+    state.add(())  # closed from the start; its phi = 0 vertices are isolated, so no holds_out count reads them
     absorbed = state.active
 
     def holds_out(u: int) -> bool:
@@ -289,21 +290,8 @@ def greedy_kernel(
         raise AssertionError("kernel terminated non-maximally")
     if len(kernel) > (1 + d) * r * g.n:
         raise AssertionError("kernel exceeded (1+delta)*rho*n")
+    g._girth5_prefixes[r, d] = (tuple(kernel), state, tuple(u for u in range(g.n) if not absorbed[u]))
     return tuple(kernel)
-
-
-def _girth5_prefix(g: Graph, r: Fraction, d: Fraction) -> tuple[tuple[int, ...], Thresholds, Cascade, tuple[int, ...]]:
-    """girth5's deterministic prefix, cached on ``g`` per (rho, delta): the kernel, phi, the kernel's closed Cascade
-    and the vertices outside its hull.  Nothing adds to the cached Cascade: every attempt extends a fork of it."""
-    prefixes = g._girth5_prefixes
-    if (r, d) not in prefixes:
-        kernel = greedy_kernel(g, r, d)  # also checks max degree >= 1/rho; a refusal caches nothing
-        phi = proportional_thresholds(g, r)
-        base = Cascade(g, phi)
-        base.add(kernel)
-        pool = tuple(u for u in range(g.n) if not base.active[u])  # every round samples from outside the kernel's hull
-        prefixes[r, d] = (kernel, phi, base, pool)
-    return prefixes[r, d]
 
 
 def _sampling_rounds(
@@ -368,9 +356,9 @@ def girth5_construct(
     growth_constant(delta) * rho * n, the sampling phase is re-run on a
     fresh stream, keeping the best attempt.
 
-    The deterministic prefix (the greedy kernel, phi, the kernel's closed
-    Cascade and the vertices outside its hull) is cached on the graph per
-    (rho, delta), so repeated calls on one graph object, such as a bench
+    The deterministic prefix (the greedy kernel, its closed Cascade and the
+    vertices outside its hull) is the one ``greedy_kernel`` left on the graph
+    per (rho, delta), so repeated calls on one graph object, such as a bench
     cell's trials, build the kernel once and only the sampling rounds draw
     per call; an equal but distinct graph builds its own.  The
     preconditions are checked on every call, in the same order.
@@ -391,7 +379,9 @@ def girth5_construct(
         raise PreconditionError(f"sampling probability rho/(1-delta) exceeds 1 for rho={r}, delta={d}")
     if not options["allow_low_girth"] and not girth_at_least_five(g):
         raise PreconditionError("graph has a cycle of length 3 or 4; pass allow_low_girth to proceed")
-    kernel, phi, base, pool = _girth5_prefix(g, r, d)
+    if (r, d) not in g._girth5_prefixes:
+        greedy_kernel(g, r, d)  # also checks max degree >= 1/rho; a refusal caches nothing
+    kernel, base, pool = g._girth5_prefixes[r, d]
     fd = float(d)
     p1 = float(r) / (1.0 - fd)
     rounds_cap = default_round_count(g.n, fd) if options["max_rounds"] is None else options["max_rounds"]
@@ -428,7 +418,7 @@ def girth5_construct(
             ),
         },
     }
-    return _verified(g, phi, "girth5", seed, params, trace)
+    return _verified(g, base.phi, "girth5", seed, params, trace)
 
 
 def tree_construct(t: Graph, rho: Fraction | int | str | float) -> MonopolySeed:

@@ -35,8 +35,8 @@ class Graph:
     safe to share read-only across concurrent workers.  Facts computed from
     the adjacency are cached on first use: ``degrees``, ``m``,
     ``girth_at_least_five``, ``is_connected``, one proportional threshold
-    profile per rho, that profile's compact threshold-1 quotient (own nodes
-    and profile) once it is checked twice, and one girth5 prefix per (rho, delta).
+    profile per rho and its threshold-1 quotient (see ``cascade``), and one
+    greedy kernel state per (rho, delta) (see ``constructors``).
     """
 
     n: int
@@ -53,7 +53,7 @@ class Graph:
     girth_at_least_five = cached_property(lambda self: _short_cycle_free(self))
     is_connected = cached_property(lambda self: len(connected_components(self)) <= 1)
     _profiles = cached_property(lambda self: {})  # rho -> proportional threshold profile, see cascade
-    _girth5_prefixes = cached_property(lambda self: {})  # (rho, delta) -> girth5's kernel prefix, see constructors
+    _girth5_prefixes = cached_property(lambda self: {})  # (rho, delta) -> greedy_kernel's state, see constructors
     _quotients = cached_property(lambda self: {})  # rho -> None after one check, then its quotient, see cascade
 
     def edges(self) -> Iterator[tuple[int, int]]:
@@ -85,14 +85,17 @@ def _simple_graph(n: int, us: list[int], vs: list[int]) -> Graph | None:
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a Graph from an edge collection, validating simplicity.
 
-    Raises PreconditionError on negative n, out-of-range endpoints,
-    self-loops, or duplicate edges (in either orientation).
+    Raises PreconditionError on an n or endpoint that is not an int (bools
+    and floats included), negative n, out-of-range endpoints, self-loops,
+    or duplicate edges (in either orientation).
     """
-    if n < 0:
-        raise PreconditionError(f"vertex count must be non-negative, got {n}")
+    if type(n) is not int or n < 0:
+        raise PreconditionError(f"vertex count must be a non-negative integer, got {n!r}")
     seen: set[tuple[int, int]] = set()
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
+        if type(u) is not int or type(v) is not int:
+            raise PreconditionError(f"vertex ids must be integers, got edge ({u!r},{v!r})")
         if not (0 <= u < n and 0 <= v < n):
             raise PreconditionError(f"vertex id out of range 0..{n - 1} in edge ({u},{v})")
         if u == v:
@@ -217,45 +220,36 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, in
 def girth(g: Graph) -> int | float:
     """Length of a shortest cycle, or ACYCLIC when g has none.
 
-    Every cycle lies in the 2-core (:func:`_two_core`), so a forest returns
-    without any search.  On the core, BFS from every core vertex, ignoring
-    peeled neighbors, and record the shortest cycle through the root.  A BFS
-    is cut off once it can no longer find a cycle shorter than the shortest
-    seen so far, so girth-3 and girth-4 graphs resolve quickly.
+    Every cycle lies in the 2-core (:func:`_two_core`), so only core vertices
+    root a BFS, and it ignores peeled neighbors: a forest searches nothing.
+    A BFS records every cycle closed by an edge to a vertex at the same
+    level or the next one; an edge one level up closes the same cycle seen
+    from its other end, or the cut-off has already proved a shorter one.
+    A BFS is cut off once it can no longer find a cycle shorter than the
+    shortest seen so far, so girth-3 and girth-4 graphs resolve quickly.
     """
-    n, adj = g.n, g.adj
-    core = _two_core(g)
+    adj, core = g.adj, _two_core(g)
     best = ACYCLIC
-    if not any(core):
-        return best
-    dist = [-1] * n
-    parent = [-1] * n
-    for root in range(n):
+    dist = [-1] * g.n
+    for root in compress(range(g.n), core):
         if best == 3:
             break
-        if not core[root]:
-            continue
         touched = [root]
         dist[root] = 0
-        parent[root] = root
         for u in touched:  # the BFS queue: touched grows as it is walked
             du = dist[u]
             if 2 * du + 1 >= best:
                 break
             for v in adj[u]:
-                if v == parent[u] or not core[v]:
+                if not core[v]:
                     continue
                 if dist[v] < 0:
                     dist[v] = du + 1
-                    parent[v] = u
                     touched.append(v)
-                else:
-                    cand = du + dist[v] + 1
-                    if cand < best:
-                        best = cand
+                elif dist[v] >= du:
+                    best = min(best, du + dist[v] + 1)
         for u in touched:
             dist[u] = -1
-            parent[u] = -1
     return best
 
 

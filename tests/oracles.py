@@ -326,12 +326,14 @@ def random_girth5_reference(n: int, p: float, rng_seed: int = 0) -> Graph:
 
 
 def from_edges_reference(n: int, edges) -> Graph:
-    """The edge walk: one edge at a time, read lazily, the first bad edge named."""
-    if n < 0:
-        raise PreconditionError(f"vertex count must be non-negative, got {n}")
+    """The edge walk: one edge at a time, read lazily, the first bad edge named; ints only, bools refused."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise PreconditionError(f"vertex count must be a non-negative integer, got {n!r}")
     seen: set[tuple[int, int]] = set()
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
+        if any(not isinstance(x, int) or isinstance(x, bool) for x in (u, v)):
+            raise PreconditionError(f"vertex ids must be integers, got edge ({u!r},{v!r})")
         if not (0 <= u < n and 0 <= v < n):
             raise PreconditionError(f"vertex id out of range 0..{n - 1} in edge ({u},{v})")
         if u == v:

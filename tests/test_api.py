@@ -50,7 +50,49 @@ def test_sources_parse_as_the_oldest_supported_python():
     files = sorted((ROOT / "src" / "dynmono").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     assert len(files) > 20
     for path in files:
-        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=oldest)
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=oldest)
+        if path.parent.name == "dynmono":  # the tests may run 3.11 code; the package may not
+            assert _newer_stdlib_names(tree) == set(), path
+
+
+# Standard-library names new in 3.11, which parse as 3.10 syntax and fail only when 3.10 runs them
+STDLIB_311 = {"tomllib", "typing.Self", "enum.StrEnum", "ExceptionGroup", "BaseExceptionGroup", "asyncio.TaskGroup",
+              "datetime.UTC", "hashlib.file_digest", "contextlib.chdir", "math.cbrt", "math.exp2", "operator.call"}
+
+
+def _newer_stdlib_names(tree: ast.AST) -> set[str]:
+    """The names of STDLIB_311 that ``tree`` imports or reads: an import, a ``from`` import, a dotted or bare name."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            used |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            used |= {node.module or ""} | {f"{node.module}.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            used.add(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    return used & STDLIB_311
+
+
+def test_the_newer_stdlib_check_sees_each_form():
+    code = """
+import tomllib
+from typing import Self
+from enum import StrEnum as S
+import asyncio, math
+asyncio.TaskGroup, math.cbrt(8.0), math.exp2(3)
+try:
+    pass
+except ExceptionGroup:
+    pass
+from datetime import UTC
+from hashlib import file_digest
+from contextlib import chdir
+import operator; operator.call(len, ())
+"""
+    assert _newer_stdlib_names(ast.parse(code)) == STDLIB_311 - {"BaseExceptionGroup"}
+    assert _newer_stdlib_names(ast.parse("import math, typing\nmath.sqrt(2.0)\nfrom typing import NamedTuple")) == set()
 
 
 def test_dataclasses_are_graph_and_generator_spec():

@@ -523,13 +523,13 @@ def test_a_run_builds_its_own_command_parser_only(monkeypatch, tmp_path):
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 def test_a_reader_that_leaves_early_gets_exit_1_and_no_message(tmp_path, unbuffered):
     # the hull record (about 0.3 MB) outgrows the 64 KiB pipe buffer, so the write fails inside the command;
-    # params' few lines fail at main's flush, or at once when unbuffered
+    # params' few lines and help's fail at main's flush, or at once when unbuffered
     graph, seed = tmp_path / "p.txt", tmp_path / "seed.txt"
     assert main(["gen", "--family", "path", "--n", "10000", "-o", str(graph)]) == 0
     seed.write_text("0\n", encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(Path(dynmono.__file__).resolve().parents[1]), "PYTHONUNBUFFERED": unbuffered}
     for argv, read in ((["hull", "-g", str(graph), "--rho", "1/2", "--seed-set", str(seed), "--json"], 1),
-                       (["params", "--epsilon", "0.5"], 0)):
+                       (["params", "--epsilon", "0.5"], 0), (["-h"], 0), (["solve", "-h"], 0)):
         proc = subprocess.Popen([sys.executable, "-m", "dynmono", *argv], stdout=subprocess.PIPE,
                                 stderr=subprocess.PIPE, env=env)
         assert len(proc.stdout.read(read)) == read

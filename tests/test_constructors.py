@@ -8,7 +8,7 @@ import random
 import statistics
 import weakref
 from fractions import Fraction
-from itertools import permutations
+from itertools import compress, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -466,6 +466,26 @@ def test_girth5_kernel_cache_lives_on_its_graph(monkeypatch):
     assert girth5_construct(twin, "1/3", delta="1/2", rng_seed=1) == first
     assert girth5_construct(g, "1/3", delta="1/2", rng_seed=1) == first
     assert len(builds) == 2 and builds[0] is g and builds[1] is twin
+
+
+def test_girth5_reads_the_state_greedy_kernel_closed(monkeypatch):
+    # greedy_kernel leaves its closed Cascade on the graph: girth5 builds no second kernel and no second kernel state
+    g = girth5_instance(70, 2.5, seed=55)
+    isolated = from_edges(3, [(0, 1)])  # an empty kernel, and a phi = 0 vertex in its hull
+    for graph, rho, delta in ((g, "1/3", "1/2"), (g, "1/4", "1/5"), (isolated, "1", "1/2")):
+        kernel = greedy_kernel(graph, rho, delta)
+        cached, state, pool = vars(graph)["_girth5_prefixes"][Fraction(rho), Fraction(delta)]
+        phi = proportional_thresholds(graph, rho)
+        active = hull(graph, phi, kernel).active
+        assert cached == kernel and state.phi is phi and active
+        assert set(compress(range(graph.n), state.active)) == active and state.size == len(active)
+        assert pool == tuple(u for u in range(graph.n) if u not in active)
+    entries = dict(vars(g)["_girth5_prefixes"])
+    expected = girth5_construct(from_edges(g.n, g.edges()), "1/3", delta="1/2", rng_seed=1)
+    builds = []
+    monkeypatch.setattr(constructors_mod, "greedy_kernel", lambda *args: builds.append(args))
+    assert girth5_construct(g, "1/3", delta="1/2", rng_seed=1) == expected and expected.trace.rounds
+    assert builds == [] and all(vars(g)["_girth5_prefixes"][key] is entry for key, entry in entries.items())
 
 
 def test_girth5_kernel_cache_drops_its_graph():

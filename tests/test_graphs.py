@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -12,6 +13,7 @@ from dynmono import (
     GeneratorSpec,
     girth,
     parse_graph,
+    random_girth5,
     serialize_graph,
 )
 from dynmono import graphs as graphs_mod
@@ -83,6 +85,11 @@ def test_from_edges_rejects_bad_input():
         from_edges(3, [(0, 1), (1, 0)])
     with pytest.raises(PreconditionError):
         from_edges(2, [(0, 5)])
+    # an id or a count that is not an int is refused by name, so no bool or float reaches adj or serialize_graph
+    for n, edges, message in ((2, [(0, True)], "got edge (0,True)"), (2, [(1.0, 0)], "got edge (1.0,0)"),
+                              (3, [(0, 1), (1, "2")], "got edge (1,'2')"), (2.0, [], "got 2.0"), (True, [], "got True")):
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            from_edges(n, edges)
 
 
 def _outcome(build, *args) -> str:
@@ -266,6 +273,20 @@ def test_girth_against_enumeration():
             assert got == expected
         # the girth-5 test runs its own search (see _agrees_with_the_girth_search): checked here against the oracle
         assert girth_at_least_five(g) == (expected is None or expected >= 5)
+
+
+def test_girth_matches_networkx_on_larger_graphs():
+    # the enumeration oracle stops at 8 vertices: networkx's girth checks the BFS cut-off and level rule beyond it
+    import networkx as nx
+
+    rng = random.Random(2024)
+    graphs = [gnp(n, rng.uniform(0.5, 4) / n, rng) for n in (rng.randint(1, 60) for _ in range(300))]
+    graphs += [random_girth5(300, 0.02, seed) for seed in range(10)]
+    for g in graphs:
+        h = nx.Graph(g.edges())
+        h.add_nodes_from(range(g.n))
+        assert girth(g) == nx.girth(h), sorted(g.edges())
+    assert {girth(g) for g in graphs} >= {3, 4, 5, 6, ACYCLIC}
 
 
 def _agrees_with_the_girth_search(g) -> bool:
