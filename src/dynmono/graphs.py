@@ -9,7 +9,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
 from operator import not_
 from typing import Iterable, Iterator, Sequence
 
@@ -34,9 +33,10 @@ class Graph:
     count equals half the sum of the degrees.  Instances are immutable and
     safe to share read-only across concurrent workers.  Facts computed from
     the adjacency are cached on first use: ``degrees``, ``m``,
-    ``girth_at_least_five``, ``is_connected``, one proportional threshold
-    profile per rho and its threshold-1 quotient (see ``cascade``), and one
-    greedy kernel state per (rho, delta) (see ``constructors``).
+    ``girth_at_least_five`` (see :func:`_shortest_cycle`), ``is_connected``,
+    one proportional threshold profile per rho and its threshold-1 quotient
+    (see ``cascade``), and one greedy kernel state per (rho, delta) (see
+    ``constructors``).
     """
 
     n: int
@@ -50,7 +50,7 @@ class Graph:
     def m(self) -> int:
         return sum(self.degrees) // 2
 
-    girth_at_least_five = cached_property(lambda self: _short_cycle_free(self))
+    girth_at_least_five = cached_property(lambda self: _shortest_cycle(self, 5) == 5)
     is_connected = cached_property(lambda self: len(connected_components(self)) <= 1)
     _profiles = cached_property(lambda self: {})  # rho -> proportional threshold profile, see cascade
     _girth5_prefixes = cached_property(lambda self: {})  # (rho, delta) -> greedy_kernel's state, see constructors
@@ -86,11 +86,13 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a Graph from an edge collection, validating simplicity.
 
     Raises PreconditionError on an n or endpoint that is not an int (bools
-    and floats included), negative n, out-of-range endpoints, self-loops,
-    or duplicate edges (in either orientation).
+    and floats included), n outside 0..``MAX_VERTICES`` (before any list is
+    allocated), out-of-range endpoints, self-loops, or duplicate edges.
     """
     if type(n) is not int or n < 0:
         raise PreconditionError(f"vertex count must be a non-negative integer, got {n!r}")
+    if n > MAX_VERTICES:  # what parse_graph could not read back is not built
+        raise PreconditionError(f"vertex count {n} exceeds the limit {MAX_VERTICES}")
     seen: set[tuple[int, int]] = set()
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
@@ -218,20 +220,40 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, in
 
 
 def girth(g: Graph) -> int | float:
-    """Length of a shortest cycle, or ACYCLIC when g has none.
+    """Length of a shortest cycle, or ACYCLIC when g has none.  One search, :func:`_shortest_cycle`, serves this and
+    the girth-5 test: each BFS root then leaves the 2-core, so a long cycle is walked once, in O(n)."""
+    return _shortest_cycle(g, ACYCLIC)
 
-    Every cycle lies in the 2-core (:func:`_two_core`), so only core vertices
-    root a BFS, and it ignores peeled neighbors: a forest searches nothing.
-    A BFS records every cycle closed by an edge to a vertex at the same
-    level or the next one; an edge one level up closes the same cycle seen
+
+def girth_at_least_five(g: Graph) -> bool:
+    """Exact test for girth >= 5, cached on ``g``: :func:`_shortest_cycle` below 5, so each BFS stops at depth 2."""
+    return g.girth_at_least_five
+
+
+def _shortest_cycle(g: Graph, below: int | float) -> int | float:
+    """Length of a shortest cycle shorter than ``below``, else ``below``: a BFS from each 2-core vertex (Itai and
+    Rodeh, SIAM J. Comput. 7(4), 1978), cut off once it cannot beat the best so far, and no BFS once that is 3.
+
+    One peel routine keeps the 2-core, the only place a cycle can lie; a BFS ignores peeled vertices.  After its
+    BFS a root leaves the core and the peel runs again: that BFS found a cycle no longer than the shortest one
+    through the root, so no cycle through it can lower the best.  A long cycle is walked once, then peeled.
+    An edge to a vertex at the same level or the next closes a cycle; one a level up closes the same cycle seen
     from its other end, or the cut-off has already proved a shorter one.
-    A BFS is cut off once it can no longer find a cycle shorter than the
-    shortest seen so far, so girth-3 and girth-4 graphs resolve quickly.
     """
-    adj, core = g.adj, _two_core(g)
-    best = ACYCLIC
+    adj, deg = g.adj, list(g.degrees)  # the 2-core: vertices u with deg[u] > 1, counting their core neighbours
+
+    def peel(stack: list[int]) -> None:
+        while stack:
+            for v in adj[stack.pop()]:
+                if deg[v] > 1:
+                    deg[v] -= 1
+                    if deg[v] == 1:
+                        stack.append(v)
+
+    peel([u for u, d in enumerate(deg) if d <= 1])
+    best = below
     dist = [-1] * g.n
-    for root in compress(range(g.n), core):
+    for root in (u for u in range(g.n) if deg[u] > 1):  # read lazily: a vertex peeled by then roots nothing
         if best == 3:
             break
         touched = [root]
@@ -241,7 +263,7 @@ def girth(g: Graph) -> int | float:
             if 2 * du + 1 >= best:
                 break
             for v in adj[u]:
-                if not core[v]:
+                if deg[v] < 2:
                     continue
                 if dist[v] < 0:
                     dist[v] = du + 1
@@ -250,36 +272,6 @@ def girth(g: Graph) -> int | float:
                     best = min(best, du + dist[v] + 1)
         for u in touched:
             dist[u] = -1
+        deg[root] = 0
+        peel([root])
     return best
-
-
-def girth_at_least_five(g: Graph) -> bool:
-    """Exact test for girth >= 5, cached on ``g``.  For each 2-core vertex u (a forest has none), the neighbor lists
-    of u's neighbors may meet only in u and must miss u's neighbors: a vertex met twice closes a 4-cycle through u,
-    a neighbor of u met closes a triangle.  One set build per vertex: sum(deg^2) work at builtin speed."""
-    return g.girth_at_least_five
-
-
-def _short_cycle_free(g: Graph) -> bool:
-    adj, degrees = g.adj, g.degrees
-    for u in compress(range(g.n), _two_core(g)):
-        nbrs = adj[u]  # with no short cycle through u the set holds nbrs, u and the others met once: sum(deg) + 1
-        if len(set(chain(nbrs, *map(adj.__getitem__, nbrs)))) <= sum(map(degrees.__getitem__, nbrs)):
-            return False
-    return True
-
-
-def _two_core(g: Graph) -> bytearray:
-    """The 2-core as a 0/1 mask: vertices of degree at most one peeled with a stack, in O(n+m)."""
-    adj, deg = g.adj, list(g.degrees)
-    core = bytearray(d > 1 for d in deg)
-    stack = [u for u, d in enumerate(deg) if d <= 1]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if core[v]:
-                deg[v] -= 1
-                if deg[v] <= 1:
-                    core[v] = 0
-                    stack.append(v)
-    return core

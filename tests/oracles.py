@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 from dynmono import Graph, InputFormatError, PreconditionError, from_edges
 from dynmono.cascade import Cascade
@@ -193,6 +193,18 @@ def girth_by_enumeration(n: int, edges) -> int | None:
         if has_cycle_of_length(k):
             return k
     return None
+
+
+def short_cycle_free_reference(g: Graph) -> bool:
+    """Girth >= 5 by set disjointness: for each vertex u with a neighbour, the neighbour lists of u's neighbours
+    may meet only in u and must miss u's neighbours.  A vertex met twice closes a 4-cycle through u, a neighbour
+    of u met closes a triangle; with neither, the set built here holds N(u), u and the others met once, which is
+    sum(deg) + 1 vertices, and with either at most sum(deg).  An isolated u (0 <= 0) is skipped."""
+    adj = g.adj
+    for u, nbrs in enumerate(adj):
+        if nbrs and len(set(chain(nbrs, *map(adj.__getitem__, nbrs)))) <= sum(len(adj[v]) for v in nbrs):
+            return False
+    return True
 
 
 def _tree_split(t: Graph, high: list[int]) -> tuple[int, list[int]]:
@@ -386,18 +398,3 @@ def parse_graph_reference(text: str) -> Graph:
     if g.m != m:
         raise InputFormatError(f"expected {m} edges, found {g.m}")
     return g
-
-
-def parse_seed_set_reference(text: str, n: int) -> tuple[int, ...]:
-    """The line walk over a seed-set document: each token read in turn, the first bad one named with its line."""
-    ids: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        for token in raw.split("#", 1)[0].split():
-            try:
-                u = int(token)
-            except ValueError:
-                raise InputFormatError(f"line {lineno}: bad vertex id {token!r}") from None
-            if not 0 <= u < n:
-                raise InputFormatError(f"line {lineno}: vertex id {u} out of range 0..{n - 1}")
-            ids.add(u)
-    return tuple(sorted(ids))

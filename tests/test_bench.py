@@ -191,8 +191,8 @@ def test_girth5_scan_runs_once_per_instance(monkeypatch):
     # every girth5 cell asks girth_at_least_five and is_connected, and every trial wants the greedy kernel:
     # the answers are cached on the graph, so one search each per instance and one kernel per (instance, rho)
     scans, searches, kernels = [], [], []
-    scan = graphs_mod._short_cycle_free
-    monkeypatch.setattr(graphs_mod, "_short_cycle_free", lambda g: scans.append(g.n) or scan(g))
+    scan = graphs_mod._shortest_cycle
+    monkeypatch.setattr(graphs_mod, "_shortest_cycle", lambda g, below: scans.append(below) or scan(g, below))
     components = graphs_mod.connected_components
     monkeypatch.setattr(graphs_mod, "connected_components", lambda g: searches.append(g.n) or components(g))
     kernel = constructors_mod.greedy_kernel
@@ -205,7 +205,7 @@ def test_girth5_scan_runs_once_per_instance(monkeypatch):
     )
     result = run_bench(config)
     assert len(result.rows) == 6 and not result.skipped
-    assert len(scans) == 1
+    assert scans == [5]
     assert len(searches) == 1
     assert kernels == [Fraction(1, 2), Fraction(1, 4)]
 

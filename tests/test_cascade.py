@@ -29,7 +29,7 @@ from dynmono.constructors import greedy_kernel
 from dynmono.generators import petersen
 from dynmono.graphs import connected_components
 from instances import adj_lists, gnp
-from oracles import DecrementingCascade, hull_active_shuffled, naive_hull, naive_rounds, parse_seed_set_reference
+from oracles import DecrementingCascade, hull_active_shuffled, naive_hull, naive_rounds
 
 
 def test_parse_rho():
@@ -500,19 +500,33 @@ def _seed_outcome(text: str, n: int, parse) -> str:
 
 
 def test_parse_seed_set_matches_the_line_walk_on_fuzzed_documents():
+    # each token is written with the value int() reads from it, None where int() refuses it; the expected outcome
+    # is the first bad or out-of-range token's message with its line number, else the sorted distinct ids
     rng = random.Random(77)
-    spellings = [str, lambda u: f"+{u}", lambda u: f"0{u}", lambda u: f"{u}_0", lambda u: f"{u}.0"]
+    spellings = [
+        lambda u: (str(u), u),
+        lambda u: (f"+{u}", u if u >= 0 else None),  # "+-1" is no int
+        lambda u: (f"0{u}", u if u >= 0 else None),  # nor is "0-1"
+        lambda u: (f"{u}_0", 10 * u),  # an underscore between digits is read
+        lambda u: (f"{u}.0", None),
+    ]
+    padding = [("", []), ("# 9", []), ("  ", []), ("x", [("x", None)])]
     accepted = 0
     for _ in range(2000):
         n = rng.randint(0, 8)
         ids = [rng.randint(-1, n) if rng.random() < 0.05 else rng.randrange(max(n, 1))
                for _ in range(rng.randint(0, 6))]
-        tokens = [rng.choice(spellings)(u) if rng.random() < 0.1 else str(u) for u in ids]
-        lines = [" ".join(tokens[i:i + 2]) for i in range(0, len(tokens), 2)]
+        tokens = [rng.choice(spellings)(u) if rng.random() < 0.1 else (str(u), u) for u in ids]
+        pairs = [tokens[i:i + 2] for i in range(0, len(tokens), 2)]
+        lines = [(" ".join(text for text, _ in pair), pair) for pair in pairs]
         if rng.random() < 0.2:
-            lines.insert(rng.randint(0, len(lines)), rng.choice(["", "# 9", "  ", "x"]))
-        text = rng.choice(["\n", "\r\n", "\r"]).join(lines)
-        expected = _seed_outcome(text, n, parse_seed_set_reference)
+            lines.insert(rng.randint(0, len(lines)), rng.choice(padding))
+        text = rng.choice(["\n", "\r\n", "\r"]).join(line for line, _ in lines)
+        problems = (f"InputFormatError: line {lineno}: bad vertex id {token!r}" if u is None else
+                    f"InputFormatError: line {lineno}: vertex id {u} out of range 0..{n - 1}"
+                    for lineno, (_, written) in enumerate(lines, start=1) for token, u in written
+                    if u is None or not 0 <= u < n)
+        expected = next(problems, None) or repr(tuple(sorted({u for _, written in lines for _, u in written})))
         assert _seed_outcome(text, n, parse_seed_set) == expected, (text, n)
         accepted += expected.startswith("(")
     assert 500 < accepted < 1900

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from dynmono import (
+    Graph,
     InputFormatError,
     PreconditionError,
     from_edges,
@@ -20,7 +21,7 @@ from dynmono import graphs as graphs_mod
 from dynmono.generators import petersen
 from dynmono.graphs import ACYCLIC, connected_components, girth_at_least_five, induced_subgraph, is_tree
 from instances import gnp
-from oracles import from_edges_reference, girth_by_enumeration, parse_graph_reference
+from oracles import from_edges_reference, girth_by_enumeration, parse_graph_reference, short_cycle_free_reference
 
 
 def test_parse_path_example():
@@ -90,6 +91,20 @@ def test_from_edges_rejects_bad_input():
                               (3, [(0, 1), (1, "2")], "got edge (1,'2')"), (2.0, [], "got 2.0"), (True, [], "got True")):
         with pytest.raises(PreconditionError, match=re.escape(message)):
             from_edges(n, edges)
+
+
+def test_from_edges_refuses_a_vertex_count_above_the_cap(monkeypatch):
+    # the cap is read at call time and tested small: a count over it is refused before any edge is read
+    assert graphs_mod.MAX_VERTICES == 10**7
+    monkeypatch.setattr(graphs_mod, "MAX_VERTICES", 10)
+    assert from_edges(10, [(0, 9)]).n == 10
+
+    def unread():
+        raise AssertionError("an edge was read")
+        yield
+
+    with pytest.raises(PreconditionError, match="^vertex count 11 exceeds the limit 10$"):
+        from_edges(11, unread())
 
 
 def _outcome(build, *args) -> str:
@@ -249,6 +264,7 @@ def test_from_edges_matches_the_edge_walk(n, pairs, wrap):
 def test_girth_classics():
     assert girth(petersen()) == 5
     assert girth(generate(GeneratorSpec("cycle", 7))) == 7
+    assert girth(generate(GeneratorSpec("cycle", 20_000))) == 20_000  # walked once, then peeled: O(n)
     assert girth(generate(GeneratorSpec("cycle", 4))) == 4
     assert girth(generate(GeneratorSpec("complete", 4))) == 3
     assert girth(generate(GeneratorSpec("path", 6))) == ACYCLIC
@@ -271,7 +287,7 @@ def test_girth_against_enumeration():
             assert got == ACYCLIC
         else:
             assert got == expected
-        # the girth-5 test runs its own search (see _agrees_with_the_girth_search): checked here against the oracle
+        # the girth-5 test runs the search with its own cut-off: checked here against the oracle
         assert girth_at_least_five(g) == (expected is None or expected >= 5)
 
 
@@ -290,9 +306,9 @@ def test_girth_matches_networkx_on_larger_graphs():
 
 
 def _agrees_with_the_girth_search(g) -> bool:
-    """The disjointness test, fresh and cached, against the girth search; returns the answer."""
-    expected = girth(g) >= 5
-    assert graphs_mod._short_cycle_free(g) == girth_at_least_five(g) == expected
+    """The set-disjointness reference, the girth-5 test and the full girth search agree; returns the answer."""
+    expected = short_cycle_free_reference(g)
+    assert girth_at_least_five(g) == (girth(g) >= 5) == expected
     return expected
 
 
@@ -350,22 +366,47 @@ def _path_edges(start: int, length: int, anchor: int) -> list[tuple[int, int]]:
 
 
 def test_girth_cycle_with_pendant_trees():
-    # C6 on 0..5; long pendant paths and a small tree hang off it
-    edges = [(i, (i + 1) % 6) for i in range(6)]
-    edges += _path_edges(6, 40, 0)
-    edges += _path_edges(46, 25, 3)
-    edges += [(2, 71), (71, 72), (71, 73), (73, 74)]
-    assert girth(from_edges(75, edges)) == 6
+    # C_length on 0..length-1; two long pendant paths and a small tree hang off it: n = 75, then n = 20,000
+    for length, hang in ((6, (40, 25)), (10_000, (6_000, 3_996))):
+        edges = [(i, (i + 1) % length) for i in range(length)]
+        edges += _path_edges(length, hang[0], 0)
+        edges += _path_edges(length + hang[0], hang[1], length // 2)
+        t = length + sum(hang)
+        edges += [(2, t), (t, t + 1), (t, t + 2), (t + 2, t + 3)]
+        g = from_edges(t + 4, edges)
+        assert girth(g) == length and girth_at_least_five(g)
+
+
+def _joined_cycles(a: int, b: int, inner: int) -> Graph:
+    """C_a on 0..a-1 and C_b on a..a+b-1, joined by a path 0 ~ a through ``inner`` more vertices."""
+    edges = [(i, (i + 1) % a) for i in range(a)]
+    edges += [(a + i, a + (i + 1) % b) for i in range(b)]
+    ids = [0] + list(range(a + b, a + b + inner)) + [a]
+    edges += list(zip(ids, ids[1:]))
+    return from_edges(a + b + inner, edges)
 
 
 def test_girth_two_cycles_joined_by_a_long_path():
-    # C7 on 0..6 and C5 on 7..11, joined by a 30-edge path 0 ~ 7
-    edges = [(i, (i + 1) % 7) for i in range(7)]
-    edges += [(7 + i, 7 + (i + 1) % 5) for i in range(5)]
-    ids = [0] + list(range(12, 41)) + [7]
-    edges += list(zip(ids, ids[1:]))
-    # the path vertices stay in the 2-core but lie on no cycle
-    assert girth(from_edges(41, edges)) == 5
+    # the path vertices stay in the 2-core but lie on no cycle: n = 41, then 20,000
+    for a, b, inner in ((7, 5, 29), (9_000, 8_000, 3_000)):
+        g = _joined_cycles(a, b, inner)
+        assert girth(g) == min(a, b) and girth_at_least_five(g)
+
+
+def test_girth_walks_a_long_cycle_once():
+    # each BFS root leaves the 2-core and the peel follows, so a long cycle costs O(n) adjacency reads, not n^2
+    reads = []
+
+    class CountedAdj(tuple):
+        def __getitem__(self, u):
+            reads.append(u)
+            return tuple.__getitem__(self, u)
+
+    for g in (generate(GeneratorSpec("cycle", 2_000)), _joined_cycles(1_000, 800, 200)):
+        for search in (girth, girth_at_least_five):
+            reads.clear()
+            search(Graph(n=g.n, adj=CountedAdj(g.adj)))
+            assert 0 < len(reads) <= 3 * g.n, (search.__name__, len(reads))
 
 
 def test_girth_tree_component_and_cycle_component():
