@@ -6,6 +6,8 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Iterator
 
 from . import graphs
 from .cascade import check_count, to_number
@@ -124,9 +126,8 @@ def random_tree(n: int, rng_seed: int = 0) -> Graph:
     return prufer_decode(seq, n)
 
 
-def _gnp_edges(n: int, p: float, rng: random.Random) -> list[tuple[int, int]]:
-    # geometric skipping over the n(n-1)/2 vertex pairs
-    edges: list[tuple[int, int]] = []
+def _gnp_edges(n: int, p: float, rng: random.Random) -> Iterator[tuple[int, int]]:
+    # geometric skipping over the n(n-1)/2 pairs (Batagelj and Brandes, Phys. Rev. E 71, 2005); yields each as drawn
     log_q = math.log(1.0 - p)
     v, w = 1, -1
     while v < n:
@@ -136,8 +137,7 @@ def _gnp_edges(n: int, p: float, rng: random.Random) -> list[tuple[int, int]]:
             w -= v
             v += 1
         if v < n:
-            edges.append((w, v))
-    return edges
+            yield (w, v)
 
 
 def random_girth5(n: int, p: float | None, rng_seed: int = 0) -> Graph:
@@ -152,8 +152,10 @@ def random_girth5(n: int, p: float | None, rng_seed: int = 0) -> Graph:
     one containing the smallest vertex id.  The result can have fewer than
     n vertices; ids are relabeled to 0..n'-1 preserving order.
 
-    The graph is built straight from the repaired sets, which are simple and symmetric by construction; its rows
-    stay sorted because each set is sorted once and the relabeling keeps order.
+    One copy of the graph is live at a time: the drawn edges stream into one list per vertex, and repairing u
+    builds one set, nu, from u's list and writes it back.  u's list may be stale meanwhile, as the test reads only
+    the lists of v and of a != u; a dropped edge leaves nu and v's list before the next edge is tested.  The
+    relabeled ``Graph`` is the only one built, each row sorted after mapping, as the relabeling keeps order.
     """
     if p is None:
         raise PreconditionError("random_girth5 requires an edge probability p")
@@ -163,26 +165,25 @@ def random_girth5(n: int, p: float | None, rng_seed: int = 0) -> Graph:
         raise PreconditionError("edge probability must lie strictly between 0 and 1")
     if 1.0 - p == 1.0:  # _gnp_edges divides by log(1 - p)
         raise PreconditionError(f"edge probability p={p} is too small: 1 - p rounds to 1")
-    rng = seeded_random(rng_seed)
-    nbr: list[set[int]] = [set() for _ in range(n)]
-    for u, v in _gnp_edges(n, p, rng):
-        nbr[u].add(v)
-        nbr[v].add(u)
+    ids, nbr = list(range(n)), [[] for _ in range(n)]  # the rows share one int object per vertex, not one per end
+    for u, v in _gnp_edges(n, p, seeded_random(rng_seed)):
+        nbr[u].append(ids[v])
+        nbr[v].append(ids[u])
     for u in range(n):
-        nu = nbr[u]
+        nu = set(nbr[u])
         for v in sorted(nu):
             if v > u:
                 nu.discard(v)  # nu = N(u) - v: an a in N(v) - u in it or meeting it closes a 3- or 4-cycle via u-v
                 for a in nbr[v]:
                     if a != u and (a in nu or not nu.isdisjoint(nbr[a])):
-                        nbr[v].discard(u)
+                        nbr[v].remove(u)
                         break
                 else:
                     nu.add(v)
-    g = Graph(n, tuple(tuple(sorted(s)) for s in nbr))
-    biggest = max(connected_components(g), key=len)  # ties: earliest block, i.e. smallest min id
+        nbr[u] = list(nu)
+    biggest = max(connected_components(SimpleNamespace(n=n, adj=nbr)), key=len)  # ties: smallest min id first
     idmap = {old: new for new, old in enumerate(biggest)}
-    return Graph(len(biggest), tuple(tuple(idmap[v] for v in g.adj[old]) for old in biggest))
+    return Graph(len(biggest), tuple(tuple(sorted(map(idmap.__getitem__, nbr[old]))) for old in biggest))
 
 
 # Family name -> (builder, *the GeneratorSpec fields it takes, in order): what generate calls and label names.

@@ -226,13 +226,15 @@ def girth(g: Graph) -> int | float:
 
 
 def girth_at_least_five(g: Graph) -> bool:
-    """Exact test for girth >= 5, cached on ``g``: :func:`_shortest_cycle` below 5, so each BFS stops at depth 2."""
+    """Exact test for girth >= 5, cached on ``g``: :func:`_shortest_cycle` below 5, so each BFS stops at depth 2
+    and the search at the first BFS that meets a 3- or 4-cycle."""
     return g.girth_at_least_five
 
 
 def _shortest_cycle(g: Graph, below: int | float) -> int | float:
-    """Length of a shortest cycle shorter than ``below``, else ``below``: a BFS from each 2-core vertex (Itai and
-    Rodeh, SIAM J. Comput. 7(4), 1978), cut off once it cannot beat the best so far, and no BFS once that is 3.
+    """The girth for ``below`` = ACYCLIC, else the first cycle length under ``below`` that the search meets (not
+    always the shortest), or ``below`` if none.  A BFS runs from each 2-core vertex (Itai and Rodeh, SIAM J. Comput.
+    7(4), 1978), cut off once it cannot beat the best so far; none runs once that is 3, or under a finite ``below``.
 
     One peel routine keeps the 2-core, the only place a cycle can lie; a BFS ignores peeled vertices.  After its
     BFS a root leaves the core and the peel runs again: that BFS found a cycle no longer than the shortest one
@@ -254,7 +256,7 @@ def _shortest_cycle(g: Graph, below: int | float) -> int | float:
     best = below
     dist = [-1] * g.n
     for root in (u for u in range(g.n) if deg[u] > 1):  # read lazily: a vertex peeled by then roots nothing
-        if best == 3:
+        if best == 3 or best < below < ACYCLIC:
             break
         touched = [root]
         dist[root] = 0

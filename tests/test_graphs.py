@@ -393,8 +393,8 @@ def test_girth_two_cycles_joined_by_a_long_path():
         assert girth(g) == min(a, b) and girth_at_least_five(g)
 
 
-def test_girth_walks_a_long_cycle_once():
-    # each BFS root leaves the 2-core and the peel follows, so a long cycle costs O(n) adjacency reads, not n^2
+def _row_reads(search, g: Graph) -> int:
+    """How many adjacency rows ``search`` reads on a fresh copy of ``g``."""
     reads = []
 
     class CountedAdj(tuple):
@@ -402,11 +402,29 @@ def test_girth_walks_a_long_cycle_once():
             reads.append(u)
             return tuple.__getitem__(self, u)
 
+    search(Graph(n=g.n, adj=CountedAdj(g.adj)))
+    return len(reads)
+
+
+def test_girth_walks_a_long_cycle_once():
+    # each BFS root leaves the 2-core and the peel follows, so a long cycle costs O(n) adjacency reads, not n^2
     for g in (generate(GeneratorSpec("cycle", 2_000)), _joined_cycles(1_000, 800, 200)):
         for search in (girth, girth_at_least_five):
-            reads.clear()
-            search(Graph(n=g.n, adj=CountedAdj(g.adj)))
-            assert 0 < len(reads) <= 3 * g.n, (search.__name__, len(reads))
+            reads = _row_reads(search, g)
+            assert 0 < reads <= 3 * g.n, (search.__name__, reads)
+
+
+def test_girth_five_test_stops_at_its_first_short_cycle():
+    # K(30, 30): the first BFS meets a 4-cycle and ends the search, so the girth-5 test reads about n/2 rows, not
+    # one BFS's worth per vertex
+    k = from_edges(60, [(i, 30 + j) for i in range(30) for j in range(30)])
+    reads = _row_reads(girth_at_least_five, k)
+    assert 0 < reads <= k.n and not girth_at_least_five(k), reads
+    # C4 on 0..3, a bridge 2-4, a triangle on 4..6: the BFS from 0 meets the 4-cycle first and the girth-5 test
+    # stops there, while the full search goes on to the triangle
+    g = from_edges(7, [(0, 1), (1, 2), (2, 3), (0, 3), (2, 4), (4, 5), (5, 6), (4, 6)])
+    assert graphs_mod._shortest_cycle(g, 5) == 4
+    assert girth(g) == 3 and not girth_at_least_five(g)
 
 
 def test_girth_tree_component_and_cycle_component():
