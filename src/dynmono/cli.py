@@ -185,14 +185,61 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_MODELLED = {"required", "choices", "default", "help", "action"}  # add_argument keywords read_well_formed models
+
+
+def read_well_formed(argv) -> argparse.Namespace | None:
+    """The namespace argparse builds for a well-formed command line, read from ``COMMANDS``; None for any other.
+
+    Well formed: a command, then each of its flags at most once, spelled as the table spells it; a valued
+    flag followed by a value that does not start with "-" and meets its choices; every required flag there.
+    A command whose table entry uses a keyword outside ``_MODELLED``, or an action other than store_true,
+    reads no line at all.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, arguments = COMMANDS[argv[0]]
+    values, flag_of, required = {"func": func, "command": argv[0]}, {}, set()
+    for flags, keywords in arguments:
+        if not keywords.keys() <= _MODELLED or keywords.get("action", "store_true") != "store_true":
+            return None
+        dest = next((flag for flag in flags if flag.startswith("--")), flags[0]).lstrip("-").replace("-", "_")
+        switch = "action" in keywords
+        values[dest] = keywords.get("default", False if switch else None)
+        flag_of.update(dict.fromkeys(flags, (dest, switch, keywords.get("choices"))))
+        if keywords.get("required"):
+            required.add(dest)
+    seen, tokens = set(), iter(argv[1:])
+    for token in tokens:
+        dest, switch, choices = flag_of.get(token, (None, False, None))
+        if dest is None or dest in seen:
+            return None
+        seen.add(dest)
+        if switch:
+            values[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-") or choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    return argparse.Namespace(**values) if required <= seen else None
+
+
 def main(argv=None) -> int:
-    """Run one command line, parsed by its command's own parser (see ``build_parser``); return its exit code."""
+    """Run one command line and return its exit code.
+
+    A well-formed line is read straight from ``COMMANDS`` (see ``read_well_formed``), with no parser built.
+    Any other line goes to its command's own parser, and to the full parser (see ``build_parser``) when the
+    command is unknown or arguments are left over, so every help text and usage error is argparse's.
+    """
     argv = sys.argv[1:] if argv is None else argv
     try:
         try:
-            args, stray = (_add_command(_Parser(prog=f"dynmono {argv[0]}"), argv[0]).parse_known_args(argv[1:])
-                           if argv and argv[0] in COMMANDS else (None, True))
-            args = build_parser().parse_args(argv) if stray else args
+            args = read_well_formed(argv)
+            if args is None:
+                args, stray = (_add_command(_Parser(prog=f"dynmono {argv[0]}"), argv[0]).parse_known_args(argv[1:])
+                               if argv and argv[0] in COMMANDS else (None, True))
+                args = build_parser().parse_args(argv) if stray else args
             code = args.func(args)
         except SystemExit as exc:  # help, or a usage error
             code = exc.code if isinstance(exc.code, int) else 1

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from dataclasses import dataclass
@@ -102,17 +101,18 @@ def prufer_decode(seq: list[int], n: int) -> Graph:
         degree[x] += 1
     expected = degree[:]  # the decode below counts degree down
     edges: list[tuple[int, int]] = []
-    leaves = [u for u in range(n) if degree[u] == 1]
-    heapq.heapify(leaves)
+    # the smallest leaf joins the next entry; every leaf below ptr is used, so a vertex that becomes a leaf
+    # below ptr is the next smallest, and otherwise ptr moves up to the next leaf
+    ptr = leaf = degree.index(1)
     for x in seq:
-        leaf = heapq.heappop(leaves)
         edges.append((leaf, x))
         degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((u, v))
+        if degree[x] == 1 and x < ptr:
+            leaf = x
+        else:
+            ptr = degree.index(1, ptr + 1)
+            leaf = ptr
+    edges.append((leaf, n - 1))
     g = from_edges(n, edges)
     if list(g.degrees) != expected:
         raise AssertionError("decoded degrees disagree with the sequence")

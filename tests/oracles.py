@@ -8,6 +8,7 @@ was before need 0 marked settled vertices, kept to pin the order of its waves.
 
 from __future__ import annotations
 
+import heapq
 import random
 from fractions import Fraction
 from itertools import chain, combinations, permutations
@@ -306,6 +307,24 @@ def tree_construct_reference(t: Graph, rho: Fraction) -> tuple[int, ...]:
         to_orig = [to_orig[old] for old in sorted(idmap)]
         cur = sub
     return tuple(sorted(seed))
+
+
+def prufer_decode_reference(seq: list[int], n: int) -> Graph:
+    """The decode by a heap of leaves: each entry in turn joins the smallest current leaf, and the last two
+    leaves join each other.  Takes a valid sequence (length n - 2, entries in 0..n-1) with n >= 2."""
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    leaves = [u for u in range(n) if degree[u] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in seq:
+        edges.append((heapq.heappop(leaves), x))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return from_edges(n, edges)
 
 
 def random_girth5_reference(n: int, p: float, rng_seed: int = 0) -> Graph:

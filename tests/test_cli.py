@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,7 +16,7 @@ import pytest
 
 import dynmono
 from dynmono import constructors
-from dynmono.cli import COMMANDS, build_parser, main
+from dynmono.cli import COMMANDS, _add_command, _Parser, build_parser, main, read_well_formed
 
 
 def run_cli(capsys, *argv):
@@ -493,6 +496,89 @@ def test_a_run_reads_the_namespace_of_the_full_parser(monkeypatch):
             assert read == [{**expected, "func": record}]
 
 
+VALUES = ("1", "1/3", "0.5", "x.txt", "", "a b", "=", "h")  # values that start with no "-", the empty one too
+
+
+def well_formed_line(name, rng):
+    """Each required flag and some optional ones, once each, in any order, in the table's spellings."""
+    groups = []
+    for flags, keywords in COMMANDS[name][2]:
+        if keywords.get("required") or rng.random() < 0.5:
+            value = [] if keywords.get("action") else [rng.choice(keywords.get("choices", VALUES))]
+            groups.append([rng.choice(flags), *value])
+    rng.shuffle(groups)
+    return [name, *(token for group in groups for token in group)]
+
+
+def garbled_line(name, rng):
+    """A well-formed line with one to three edits; most put it outside the form the reader takes."""
+    argv = well_formed_line(name, rng)
+    flags = [flag for names, _ in COMMANDS[name][2] for flag in names]
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randint(1, len(argv))
+        edit = rng.randrange(9)
+        if edit == 0:  # an abbreviation, or a prefix that fits more than one flag
+            flag = rng.choice([flag for flag in flags if flag.startswith("--")])
+            argv.insert(at, flag[:rng.randint(2, len(flag) - 1)])
+            argv.insert(at + 1, rng.choice(VALUES))
+        elif edit == 1:  # any value for a flag: it may miss the flag's choices, or repeat the flag
+            flag, value = rng.choice(flags), rng.choice(VALUES)
+            if flag in argv[:-1]:
+                argv[argv.index(flag) + 1] = value
+            else:
+                argv[at:at] = [flag, value]
+        elif edit == 2:
+            argv.insert(at, f"{rng.choice(flags)}={rng.choice(VALUES)}")
+        elif edit == 3:
+            argv.insert(at, "--")
+        elif edit == 4:
+            argv.insert(at, rng.choice(["-h", "--help"]))
+        elif edit == 5:  # a stray positional, or an empty one
+            argv.insert(at, rng.choice(["extra", ""]))
+        elif edit == 6:  # a value that starts with "-"
+            argv[at:at] = [rng.choice(flags), rng.choice(["-1", "-", "-x", "--rho", "-g"])]
+        elif edit == 7 and len(argv) > 1:  # a dropped token: a flag, or a flag's value
+            del argv[rng.randrange(1, len(argv))]
+        elif edit == 8:
+            argv.insert(at, rng.choice(["--nope", "-o", "-gx", "--json"]))
+    return argv
+
+
+def test_a_well_formed_line_reads_as_argparse_reads_it():
+    # wherever the reader returns a namespace, argparse returns the same one and leaves no argument over;
+    # every well-formed spelling is read
+    rng = random.Random(29)
+    for name in COMMANDS:
+        parser = _add_command(_Parser(prog=f"dynmono {name}"), name)
+        for i in range(1000):
+            argv = well_formed_line(name, rng) if i % 2 else garbled_line(name, rng)
+            read = read_well_formed(argv)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                    args, stray = parser.parse_known_args(argv[1:])
+                expected = None if stray else vars(args)
+            except SystemExit:
+                expected = None
+            if i % 2:
+                assert read is not None and expected is not None, argv
+            if read is not None:
+                assert vars(read) == expected, argv
+
+
+@pytest.mark.parametrize("keywords", [{"type": int}, {"nargs": "?"}, {"dest": "other"}, {"const": "1"},
+                                      {"action": "store_false"}, {"action": "count"}, {"action": "append"},
+                                      {"action": "store_const", "const": "1"}, {"metavar": "X"}],
+                         ids=["type", "nargs", "dest", "const", "store_false", "count", "append", "store_const",
+                              "metavar"])
+def test_the_reader_declines_a_keyword_it_does_not_model(monkeypatch, keywords):
+    # a COMMANDS entry with such a keyword goes to argparse for every line, used or not
+    func, help_text, arguments = COMMANDS["solve"]
+    monkeypatch.setitem(COMMANDS, "solve", (func, help_text, (*arguments, (("--extra",), keywords))))
+    assert read_well_formed(["solve", "-g", "x", "--rho", "1"]) is None
+    monkeypatch.setitem(COMMANDS, "solve", (func, help_text, arguments))
+    assert read_well_formed(["solve", "-g", "x", "--rho", "1"]) is not None
+
+
 def test_a_run_builds_its_own_command_parser_only(monkeypatch, tmp_path):
     path = tmp_path / "c5.txt"
     assert main(["gen", "--family", "cycle", "--n", "5", "-o", str(path)]) == 0
@@ -511,8 +597,13 @@ def test_a_run_builds_its_own_command_parser_only(monkeypatch, tmp_path):
     monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting_add_subparsers)
     full = ["dynmono", "subparsers", *(f"dynmono {name}" for name in COMMANDS)]
     assert main(["solve", "-g", str(path), "--rho", "1"]) == 0
-    assert built == ["dynmono solve"]
-    built.clear()
+    assert built == []  # a well-formed line is read from COMMANDS
+    for argv, code in ((["solve", "-g", str(path), "--rh", "1"], 0), (["solve", "-g", str(path), "--rho=1"], 0),
+                       (["solve", "-g", str(path), "--rho", "1", "--rho", "1"], 0),
+                       (["solve", "-g", str(path), "--rho", "1", "--limit", "-1"], 1)):
+        assert main(argv) == code
+        assert built == ["dynmono solve"]
+        built.clear()
     assert main(["nosuchcommand"]) == 1
     assert built == full
     built.clear()

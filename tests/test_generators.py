@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import tracemalloc
 
@@ -11,7 +12,7 @@ from dynmono import abw_construct, proportional_thresholds
 from dynmono import generators, graphs
 from dynmono.generators import petersen, prufer_decode
 from dynmono.graphs import connected_components, girth_at_least_five, is_tree
-from oracles import random_girth5_reference
+from oracles import prufer_decode_reference, random_girth5_reference
 
 
 def test_fixed_families():
@@ -94,6 +95,20 @@ def test_prufer_decode_degree_property():
         assert is_tree(t)
         for v in range(n):
             assert t.degrees[v] == 1 + seq.count(v)
+
+
+def test_prufer_decode_matches_the_heap_decode():
+    # every sequence for n <= 7, then seeded sequences up to 10^4 vertices
+    for n in range(2, 8):
+        for seq in itertools.product(range(n), repeat=n - 2):
+            assert prufer_decode(list(seq), n) == prufer_decode_reference(list(seq), n)
+    rng = random.Random(11)
+    for n in (*(rng.randint(8, 300) for _ in range(200)), 1000, 10**4):
+        seq = [rng.randrange(n) for _ in range(n - 2)]
+        assert prufer_decode(seq, n) == prufer_decode_reference(seq, n)
+    for n in (50, 10**4):  # a path and a star: the leaf pointer's two extremes
+        for seq in (list(range(1, n - 1)), [0] * (n - 2)):
+            assert prufer_decode(seq, n) == prufer_decode_reference(seq, n)
 
 
 def test_prufer_decode_small():
