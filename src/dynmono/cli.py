@@ -168,20 +168,15 @@ COMMANDS = {
 }
 
 
-def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    func, _, arguments = COMMANDS[name]
-    for flags, keywords in arguments:
-        parser.add_argument(*flags, **keywords)
-    parser.set_defaults(func=func, command=name)
-    return parser
-
-
 def build_parser() -> argparse.ArgumentParser:
-    """Every command's parser; ``main`` builds it only to word a bare program, an unknown command or stray arguments."""
+    """Every command's parser; ``main`` builds it only for a line ``read_well_formed`` declines: help and errors."""
     parser = _Parser(prog="dynmono", description="Dynamic monopolies for degree-proportional thresholds")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, _) in COMMANDS.items():
-        _add_command(sub.add_parser(name, help=help_text), name)
+    for name, (func, help_text, arguments) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flags, keywords in arguments:
+            command.add_argument(*flags, **keywords)
+        command.set_defaults(func=func, command=name)
     return parser
 
 
@@ -229,17 +224,12 @@ def main(argv=None) -> int:
     """Run one command line and return its exit code.
 
     A well-formed line is read straight from ``COMMANDS`` (see ``read_well_formed``), with no parser built.
-    Any other line goes to its command's own parser, and to the full parser (see ``build_parser``) when the
-    command is unknown or arguments are left over, so every help text and usage error is argparse's.
+    Any other line goes to the full parser (see ``build_parser``), so every help text and usage error is argparse's.
     """
     argv = sys.argv[1:] if argv is None else argv
     try:
         try:
-            args = read_well_formed(argv)
-            if args is None:
-                args, stray = (_add_command(_Parser(prog=f"dynmono {argv[0]}"), argv[0]).parse_known_args(argv[1:])
-                               if argv and argv[0] in COMMANDS else (None, True))
-                args = build_parser().parse_args(argv) if stray else args
+            args = read_well_formed(argv) or build_parser().parse_args(argv)
             code = args.func(args)
         except SystemExit as exc:  # help, or a usage error
             code = exc.code if isinstance(exc.code, int) else 1

@@ -16,7 +16,7 @@ import pytest
 
 import dynmono
 from dynmono import constructors
-from dynmono.cli import COMMANDS, _add_command, _Parser, build_parser, main, read_well_formed
+from dynmono.cli import COMMANDS, build_parser, main, read_well_formed
 
 
 def run_cli(capsys, *argv):
@@ -445,8 +445,7 @@ def usage_cases():
 
 
 def test_cli_text_matches_the_full_parser(capsys, monkeypatch):
-    # a run parses with its own command's parser only; every help, usage line and error reads as the full parser's,
-    # at two terminal widths
+    # every help, usage line and error main prints is the full parser's, at two terminal widths
     def outcome(parse, argv):
         capsys.readouterr()
         try:
@@ -547,15 +546,14 @@ def garbled_line(name, rng):
 def test_a_well_formed_line_reads_as_argparse_reads_it():
     # wherever the reader returns a namespace, argparse returns the same one and leaves no argument over;
     # every well-formed spelling is read
-    rng = random.Random(29)
+    rng, parser = random.Random(29), build_parser()
     for name in COMMANDS:
-        parser = _add_command(_Parser(prog=f"dynmono {name}"), name)
         for i in range(1000):
             argv = well_formed_line(name, rng) if i % 2 else garbled_line(name, rng)
             read = read_well_formed(argv)
             try:
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                    args, stray = parser.parse_known_args(argv[1:])
+                    args, stray = parser.parse_known_args(argv)
                 expected = None if stray else vars(args)
             except SystemExit:
                 expected = None
@@ -579,7 +577,7 @@ def test_the_reader_declines_a_keyword_it_does_not_model(monkeypatch, keywords):
     assert read_well_formed(["solve", "-g", "x", "--rho", "1"]) is not None
 
 
-def test_a_run_builds_its_own_command_parser_only(monkeypatch, tmp_path):
+def test_a_declined_line_builds_the_full_parser_once(monkeypatch, tmp_path):
     path = tmp_path / "c5.txt"
     assert main(["gen", "--family", "cycle", "--n", "5", "-o", str(path)]) == 0
     built = []
@@ -595,20 +593,15 @@ def test_a_run_builds_its_own_command_parser_only(monkeypatch, tmp_path):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting_add_subparsers)
-    full = ["dynmono", "subparsers", *(f"dynmono {name}" for name in COMMANDS)]
-    assert main(["solve", "-g", str(path), "--rho", "1"]) == 0
+    solve = ["solve", "-g", str(path)]
+    assert main([*solve, "--rho", "1"]) == 0
     assert built == []  # a well-formed line is read from COMMANDS
-    for argv, code in ((["solve", "-g", str(path), "--rh", "1"], 0), (["solve", "-g", str(path), "--rho=1"], 0),
-                       (["solve", "-g", str(path), "--rho", "1", "--rho", "1"], 0),
-                       (["solve", "-g", str(path), "--rho", "1", "--limit", "-1"], 1)):
+    for argv, code in (([*solve, "--rh", "1"], 0), ([*solve, "--rho=1"], 0), ([*solve, "--rho", "1", "--rho", "1"], 0),
+                       ([*solve, "--rho", "1", "--limit", "-1"], 1), (["nosuchcommand"], 1),
+                       ([*solve, "--rho", "1", "extra"], 1)):
         assert main(argv) == code
-        assert built == ["dynmono solve"]
+        assert built == ["dynmono", "subparsers", *(f"dynmono {name}" for name in COMMANDS)], argv
         built.clear()
-    assert main(["nosuchcommand"]) == 1
-    assert built == full
-    built.clear()
-    assert main(["solve", "-g", str(path), "--rho", "1", "extra"]) == 1
-    assert built == ["dynmono solve", *full]
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])

@@ -21,7 +21,7 @@ from dynmono import graphs as graphs_mod
 from dynmono.generators import petersen
 from dynmono.graphs import ACYCLIC, connected_components, girth_at_least_five, induced_subgraph, is_tree
 from instances import gnp
-from oracles import from_edges_reference, girth_by_enumeration, parse_graph_reference, short_cycle_free_reference
+from oracles import girth_by_enumeration, parse_graph_reference, short_cycle_free_reference
 
 
 def test_parse_path_example():
@@ -235,30 +235,32 @@ def _as_generator(pairs):
     return (pair for pair in pairs)
 
 
+# (n, pairs, outcome): the graph, or the first bad edge named as the edge walk meets it
+FROM_EDGES_CASES = [
+    (4, [(0, 1), (2, 1), (3, 0)], "Graph(n=4, adj=((1, 3), (0, 2), (1,), (0,)))"),
+    (4, [(0, 1), (1, 0)], "PreconditionError: duplicate edge (0,1)"),
+    (4, [(0, 1), (2, 2)], "PreconditionError: self-loop at vertex 2"),
+    (4, [(0, 4)], "PreconditionError: vertex id out of range 0..3 in edge (0,4)"),
+    (4, [(-1, 2)], "PreconditionError: vertex id out of range 0..3 in edge (-1,2)"),
+    (3, [(True, 2), (0, 2)], "PreconditionError: vertex ids must be integers, got edge (True,2)"),
+    (3, [(True, 1), (0, 1)], "PreconditionError: vertex ids must be integers, got edge (True,1)"),
+    (3, [(1.0, 2), (0, 1)], "PreconditionError: vertex ids must be integers, got edge (1.0,2)"),
+    (3, [(1.5, 2)], "PreconditionError: vertex ids must be integers, got edge (1.5,2)"),
+    (3, [("1", 2)], "PreconditionError: vertex ids must be integers, got edge ('1',2)"),
+    (3, [(0, 1, 2)], "ValueError: too many values to unpack (expected 2)"),
+    (3, [(0, 1), (1,)], "ValueError: not enough values to unpack (expected 2, got 1)"),
+    (3, [[0, 1], [1, 2]], "Graph(n=3, adj=((1,), (0, 2), (1,)))"),
+    (3, [(0, 1), [1, 2], (2, 1)], "PreconditionError: duplicate edge (1,2)"),
+    (0, [], "Graph(n=0, adj=())"),
+    (-1, [], "PreconditionError: vertex count must be a non-negative integer, got -1"),
+]
+
+
 @pytest.mark.parametrize("wrap", [list, _as_generator, tuple])
-@pytest.mark.parametrize(
-    "n, pairs",
-    [
-        (4, [(0, 1), (2, 1), (3, 0)]),
-        (4, [(0, 1), (1, 0)]),
-        (4, [(0, 1), (2, 2)]),
-        (4, [(0, 4)]),
-        (4, [(-1, 2)]),
-        (3, [(True, 2), (0, 2)]),
-        (3, [(True, 1), (0, 1)]),
-        (3, [(1.0, 2), (0, 1)]),
-        (3, [(1.5, 2)]),
-        (3, [("1", 2)]),
-        (3, [(0, 1, 2)]),
-        (3, [(0, 1), (1,)]),
-        (3, [[0, 1], [1, 2]]),
-        (3, [(0, 1), [1, 2], (2, 1)]),
-        (0, []),
-        (-1, []),
-    ],
-)
-def test_from_edges_matches_the_edge_walk(n, pairs, wrap):
-    assert _outcome(from_edges, n, wrap(pairs)) == _outcome(from_edges_reference, n, wrap(pairs))
+@pytest.mark.parametrize("n, pairs, expected", FROM_EDGES_CASES,
+                         ids=[f"{n}-pairs{i}" for i, (n, _, _) in enumerate(FROM_EDGES_CASES)])
+def test_from_edges_matches_the_edge_walk(n, pairs, expected, wrap):
+    assert _outcome(from_edges, n, wrap(pairs)) == expected
 
 
 def test_girth_classics():

@@ -5,7 +5,8 @@ and every traced layer function), so renaming one breaks the benchmark.  One
 toy-scale traced pass of every workload makes such a rename fail here too.
 It asserts no wall-clock bound.  The pass runs on a copy of ``perfbench/``,
 ``src/`` and ``BENCHMARK.json``, so its records do not land in the
-checkout's ``perfbench/results/``.
+checkout's ``perfbench/results/``.  Every op's command line is one the CLI
+reads from its command table, so no benchmark op builds an argparse parser.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+from dynmono.cli import read_well_formed
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,3 +33,15 @@ def test_perfbench_toy_pass_is_correct(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0 and result["attempted"] > 0, proc.stdout
+
+
+def test_every_benchmark_op_is_read_without_a_parser(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads  # perfbench's op tables; stdlib imports only
+    checks = workloads.Checks(tmp_path, {})
+    for workload in workloads.WORKLOADS:
+        for scale in workloads.SCALES:
+            ops = workloads.setup_files(workload, 0, scale, checks) + workloads.pass_ops(workload, 0, scale, checks)
+            assert ops
+            for op in ops:
+                assert read_well_formed(op.argv) is not None, (workload, scale, op.argv)
