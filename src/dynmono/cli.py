@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 input error (including usage errors), 2 operation
-precondition violation, 3 refused oversize exact search, 4 internal error (a
-failed self-check: a bug, reported as one line).
+The ``cmd_*`` handlers print and return nothing; ``main`` sets every exit code: 0 success, 1 input error
+(including usage errors), 2 operation precondition violation, 3 refused oversize exact search, 4 internal error
+(a failed self-check: a bug, reported as one line).
 """
 
 from __future__ import annotations
@@ -35,21 +35,19 @@ class _Parser(argparse.ArgumentParser):
         (file or sys.stderr).write(message)
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> None:
     spec = from_input(GeneratorSpec.read, vars(args))
     g = from_input(generate, spec)  # a size or probability no family takes is a bad flag
     Path(args.output).write_text(serialize_graph(g), encoding="utf-8")
     print(f"wrote {args.family} graph: n={g.n} m={g.m} -> {args.output}")
-    return 0
 
 
-def cmd_girth(args) -> int:
+def cmd_girth(args) -> None:
     value = girth(from_file(args.graph, "graph", parse_graph))
     print("acyclic" if value == ACYCLIC else int(value))
-    return 0
 
 
-def cmd_hull(args) -> int:
+def cmd_hull(args) -> None:
     g = from_file(args.graph, "graph", parse_graph)
     phi = proportional_thresholds(g, parse_rho(args.rho))
     result = hull(g, phi, from_file(args.seed_set, "seed", lambda text: parse_seed_set(text, g.n)))
@@ -60,10 +58,9 @@ def cmd_hull(args) -> int:
         print(f"monopoly: {str(result.is_monopoly).lower()}")
         rounds = max(result.rounds.values(), default=0)
         print(f"rounds: {rounds}")
-    return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> None:
     g = from_file(args.graph, "graph", parse_graph)
     phi = proportional_thresholds(g, parse_rho(args.rho))
     seed = from_file(args.seed_set, "seed", lambda text: parse_seed_set(text, g.n))
@@ -71,10 +68,9 @@ def cmd_verify(args) -> int:
         print("monopoly: true")
     else:
         print(f"monopoly: false ({g.n - len(hull(g, phi, seed).active)} vertices remain inactive)")
-    return 0
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> None:
     limit = from_input(lambda value: check_count(value, "limit"), args.limit)
     g = from_file(args.graph, "graph", parse_graph)
     phi = proportional_thresholds(g, parse_rho(args.rho))
@@ -90,28 +86,25 @@ def cmd_solve(args) -> int:
         "runtime_ms": int((time.perf_counter() - t0) * 1000),
     }
     print(json.dumps(record, indent=2))
-    return 0
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args) -> None:
     g = from_file(args.graph, "graph", parse_graph)
     options = from_input(girth5_options, {name: getattr(args, name) for name in GIRTH5_OPTIONS})
     rng_seed = from_input(lambda value: check_count(value, "rng_seed"), args.rng_seed)
     seed = BUILDERS[args.method](g, parse_rho(args.rho), rng_seed, **options)
     print(json.dumps(seed.to_json_dict(), indent=2))
-    return 0
 
 
-def cmd_params(args) -> int:
+def cmd_params(args) -> None:
     params = girth5_params(from_input(check_epsilon, args.epsilon))
     print(f"epsilon  = {params.epsilon}")
     print(f"delta    = {params.delta:.9f}")
     print(f"rho_max  = {params.rho_max:.6e}")
     print(f"p2       = {params.p2:.6e}")
-    return 0
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> None:
     config = bench_mod.load_config(args.config)
     output = args.output or config.output
     if output is None:
@@ -121,7 +114,6 @@ def cmd_bench(args) -> int:
     print(f"wrote {output}")
     for line in bench_mod.summary_lines(result):
         print(line)
-    return 0
 
 
 _GRAPH = (("-g", "--graph"), {"required": True})
@@ -221,7 +213,7 @@ def read_well_formed(argv) -> argparse.Namespace | None:
 
 
 def main(argv=None) -> int:
-    """Run one command line and return its exit code.
+    """Run one command line and return its exit code: 0 once the handler returns, else argparse's or the error class's.
 
     A well-formed line is read straight from ``COMMANDS`` (see ``read_well_formed``), with no parser built.
     Any other line goes to the full parser (see ``build_parser``), so every help text and usage error is argparse's.
@@ -230,7 +222,8 @@ def main(argv=None) -> int:
     try:
         try:
             args = read_well_formed(argv) or build_parser().parse_args(argv)
-            code = args.func(args)
+            args.func(args)
+            code = 0
         except SystemExit as exc:  # help, or a usage error
             code = exc.code if isinstance(exc.code, int) else 1
         sys.stdout.flush()  # a reader that left early shows here, not in the interpreter's exit flush

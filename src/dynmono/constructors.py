@@ -57,8 +57,10 @@ EMPTY: Mapping = MappingProxyType({})  # the read-only default of MonopolySeed.p
 
 
 def check_delta(delta: Fraction | int | str | float) -> Fraction:
-    """The slack parameter as an exact Fraction in (0, DELTA_CAP]; PreconditionError otherwise."""
-    return to_fraction(delta, "delta", Fraction(DELTA_CAP))
+    """The slack parameter as an exact Fraction in (0, DELTA_CAP] whose float is not 0; PreconditionError otherwise."""
+    if not float(d := to_fraction(delta, "delta", Fraction(DELTA_CAP))):
+        raise PreconditionError(f"delta {delta} rounds to 0 as a float")
+    return d
 
 
 def check_epsilon(epsilon: float | int | str) -> float:
@@ -443,8 +445,8 @@ def tree_construct(t: Graph, rho: Fraction | int | str | float) -> MonopolySeed:
     u's side of the edge to its one Steiner neighbor x (all peeled onto u;
     earlier seeds took the rest), lowers the degree of x and peels on.
     With the leaves in a (mass, id) heap the whole run costs O(n log n), on
-    the original vertex ids; with no high-degree vertex left, the branch is
-    x's component of T minus the seeds, walked once.
+    the original vertex ids.  Once the heap holds one leaf or none, one walk
+    of the last branch (x's component of T minus the seeds) picks the seed.
     """
     r = to_fraction(rho)
     if not is_tree(t):
@@ -455,64 +457,51 @@ def tree_construct(t: Graph, rho: Fraction | int | str | float) -> MonopolySeed:
     n = t.n
     adj = t.adj
     deg = list(t.degrees)  # degree in the current branch
-    high = bytearray(1 if d * p >= q else 0 for d in deg)
-    n_high = sum(high)
     n_alive = n
-    in_steiner = bytearray(b"\x01") * n
-    steiner_deg = deg[:]
+    steiner_deg = deg[:]  # 0 once a vertex is peeled or seeded
     mass = [1] * n
 
     def peel(v: int) -> int:
         """Peel low Steiner leaves from v onward; return where the peeling stopped."""
-        while not high[v] and steiner_deg[v] == 1:
+        while steiner_deg[v] == 1 and deg[v] * p < q:
+            steiner_deg[v] = 0
             for y in adj[v]:
-                if in_steiner[y]:
+                if steiner_deg[y]:
                     break
-            in_steiner[v] = 0
             mass[y] += mass[v]
             steiner_deg[y] -= 1
             v = y
         return v
 
     for v in range(n):
-        if in_steiner[v]:
-            peel(v)
-    leaves = [(mass[v], v) for v in range(n) if in_steiner[v] and steiner_deg[v] == 1]
+        peel(v)
+    leaves = [(mass[v], v) for v in range(n) if steiner_deg[v] == 1]
     heapq.heapify(leaves)
     seed: list[int] = []
     x = 0  # a vertex of the current branch
-    while True:
-        if n_high == 1:
-            seed.append(high.index(1))
-            break
-        if n_high == 0:  # the branch is x's component of t minus the seeds: every cut was made at a seed
-            branch, seeds = [(x, x)], set(seed)  # (vertex, its walk parent): in a tree no other vertex repeats
-            for a, parent in branch:
-                branch += [(b, a) for b in adj[a] if b != parent and b not in seeds]
-            seed.append(min((-deg[v], v) for v, _ in branch)[1])  # largest degree, then smallest id
-            break
+    while len(leaves) > 1:  # two or more high vertices: the heap holds the Steiner leaves, all of them high
         _, u = heapq.heappop(leaves)
         seed.append(u)
         # u is a Steiner leaf: x is its one Steiner neighbor, and the rest
         # of u's side of the edge u-x (its pendant part) leaves with it
         for x in adj[u]:
-            if in_steiner[x]:
+            if steiner_deg[x]:
                 break
-        in_steiner[u] = 0
-        high[u] = 0
-        n_high -= 1
+        steiner_deg[u] = 0
         n_alive -= mass[u]
         # x is the only survivor that lost a neighbor, so only x can turn low
         deg[x] -= 1
         steiner_deg[x] -= 1
-        if high[x] and deg[x] * p < q:
-            high[x] = 0
-            n_high -= 1
         if n_alive * p < q:
             raise AssertionError("branch dropped below 1/rho")
         x = peel(x)
-        if high[x] and steiner_deg[x] == 1:
+        if steiner_deg[x] == 1:  # peel stops at a Steiner leaf only if it is high
             heapq.heappush(leaves, (mass[x], x))
+    # the branch is x's component of t minus the seeds, and its largest degree is the last high vertex, if any
+    branch, seeds = [(x, x)], set(seed)  # (vertex, its walk parent): in a tree no other vertex repeats
+    for a, parent in branch:
+        branch += [(b, a) for b in adj[a] if b != parent and b not in seeds]
+    seed.append(min((-deg[v], v) for v, _ in branch)[1])  # largest degree, then smallest id
     seed_t = tuple(sorted(seed))
     if len(seed_t) * q > t.n * p:
         raise AssertionError("tree seed exceeded floor(rho*n)")

@@ -65,6 +65,7 @@ def test_load_config_errors(tmp_path):
         ("delta", {"methods": [{"method": "girth5", "delta": "abc"}]}),
         ("delta", {"methods": [{"method": "girth5", "delta": "3/2"}]}),
         ("delta", {"methods": [{"method": "girth5", "delta": 0}]}),
+        ("delta 1e-400 rounds to 0", {"methods": [{"method": "girth5", "delta": "1e-400"}]}),
         ("epsilon", {"methods": [{"method": "girth5", "epsilon": -1}]}),
         ("epsilon", {"methods": [{"method": "girth5", "epsilon": float("nan")}]}),
         ("epsilon", {"epsilon": -1}),

@@ -351,9 +351,11 @@ def test_input_error_exits(capsys, tmp_path, petersen_file):
     code, _, err = run_cli(capsys, "hull", "-g", str(bad))  # missing required flags
     assert code == 1
 
-    # a bad --delta is an input error naming delta, like a bad --rho
+    # a bad --delta is an input error naming delta, like a bad --rho; 1e-400, whose float is 0, is refused where
+    # it enters, with or without a round count, not left to fail in the float code
     for extra in (
-        ["--rho", "1/3", "--delta", "abc"], ["--rho", "1/3", "--delta", "3/2"], ["--rho", "abc"], ["--rho", "1e-5000"]
+        ["--rho", "1/3", "--delta", "abc"], ["--rho", "1/3", "--delta", "3/2"], ["--rho", "abc"], ["--rho", "1e-5000"],
+        ["--rho", "1/3", "--delta", "1e-400"], ["--rho", "1/3", "--max-rounds", "3", "--delta", "1e-400"],
     ):
         code, out, err = run_cli(capsys, "construct", "-g", str(petersen_file), "--method", "girth5", *extra)
         assert code == 1 and out == ""

@@ -519,7 +519,7 @@ def test_girth5_preconditions():
     for kwargs in (
         {"rho": float("nan")}, {"rho": "inf"}, {"delta": "3/2"}, {"epsilon": float("nan")}, {"max_restarts": -1},
         {"delta": "1/5", "epsilon": -3}, {"delta": "1/5", "epsilon": float("nan")}, {"epsilon": float("inf")},
-        {"max_rounds": 2.5}, {"max_restarts": True},
+        {"max_rounds": 2.5}, {"max_restarts": True}, {"delta": "1e-400"}, {"delta": "1e-400", "max_rounds": 3},
     ):
         with pytest.raises(PreconditionError):
             girth5_construct(petersen(), **{"rho": "1/3", **kwargs})
