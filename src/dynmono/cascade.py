@@ -8,12 +8,12 @@ hull is the whole vertex set is a dynamic monopoly (perfect target set).
 
 All propagation runs on one incremental engine, ``Cascade``: ``add(T)`` on
 a state closed at hull(S) leaves hull(S | T), since every closed superset of
-S | T contains hull(S) | T.  A state keeps the active set, residual needs and the active count; each add returns
-its own activation waves.  A need of 0 marks a settled vertex (seeded, queued or active): a relaxation reads it and
-counts down only a waiting vertex, so a hit on a settled vertex costs one read, and an add costs the degrees of the
-vertices it activates.  ``hull``, the checked entry, is one add on a fresh state, and ``is_monopoly`` runs its
-checks and asks only for coverage, without building a record.  The package runs states unchecked: constructor
-self-checks, the greedy kernel, and forks for girth5 attempts and exact-search prefixes.
+S | T contains hull(S) | T.  A state keeps residual needs and the active count alone; each add returns its own
+activation waves.  A need of 0 marks a settled vertex (seeded, queued or active), so a closed state's hull is its
+zero needs; a relaxation counts down only a waiting vertex, a hit on a settled one costs one read, and an add costs
+the degrees of the vertices it activates.  ``hull``, the checked entry, is one add on a fresh state, and
+``is_monopoly`` runs its checks and asks only for coverage, without building a record.  The package runs states
+unchecked: constructor self-checks, the greedy kernel, and forks for girth5 attempts and exact-search prefixes.
 
 Coverage checks (``is_monopoly`` and the constructors' self-checks) that come back to one profile cached by
 ``proportional_thresholds`` run on its threshold-1 quotient, a compact graph on nodes 0..k-1 with its own profile:
@@ -165,47 +165,46 @@ class CascadeResult(NamedTuple):
 
 
 class Cascade:
-    """Active set, residual needs and active count on one graph and threshold profile.
+    """Residual needs and active count on one graph and threshold profile.
 
-    ``need[u]`` is phi(u) less u's active neighbours while u waits, and 0 once u is settled (seeded, queued or
-    active; phi = 0 starts settled): u is queued once, on the hit that brings it to 0, and no later hit moves it.
-    For thresholds in [0, deg], once an add returns, ``need[u] == 0`` iff ``active[u]``; ``size`` counts the active.
-    Each add costs the degrees of the vertices it activates and ends on the hull of all seeds so far.  Ids and
-    thresholds go unchecked, so a caller that reads ``need`` checks the profile first (a phi < 0 vertex is active
-    with a nonzero need).
+    ``need[u]`` is phi(u) less u's active neighbours while u waits, and 0 exactly when u is settled (seeded, queued
+    or active): u is queued once, on the hit that brings it to 0, and no later hit moves it.  A phi <= 0 vertex
+    starts at need 1 and waits for the first add, which readies it at round 1 unless that add seeds it (round 0).
+    So after an add the hull is the set of zero needs, and two closed states have equal needs iff equal hulls;
+    ``size`` counts the active.  Each add costs the degrees of the vertices it activates and ends on the hull of
+    all seeds so far.  Ids and thresholds go unchecked.
     """
 
     def __init__(self, g: Graph, phi: Thresholds):
         self.adj = g.adj
         self.phi = phi
-        self.active = bytearray(g.n)
-        self.need = list(phi)
-        self.size = 0
         self._zero = [u for u, t in enumerate(phi) if t <= 0] if min(phi, default=1) <= 0 else None
+        self.need = [max(t, 1) for t in phi] if self._zero else list(phi)  # phi <= 0 waits for the first add
+        self.size = 0
 
     def fork(self) -> Cascade:
         """An independent copy of this state: adds to either leave the other as it was."""
         twin = Cascade.__new__(Cascade)
-        twin.adj, twin.phi, twin._zero, twin.size = self.adj, self.phi, self._zero, self.size
-        twin.active, twin.need = self.active[:], self.need[:]
+        twin.adj, twin.phi, twin._zero, twin.size, twin.need = self.adj, self.phi, self._zero, self.size, self.need[:]
         return twin
 
     def add(self, seeds: Iterable[int]) -> list[list[int]]:
         """Activate ``seeds``, close under the thresholds and return this add's waves, round r at index r.
 
         Rounds count the synchronous waves of this add: new seeds are round
-        0, and vertices with phi = 0 join at round 1 of the first add.  A
+        0, and vertices with phi <= 0 join at round 1 of the first add.  A
         neighbour hit reads need[v] and counts it down only while v waits.
         """
-        adj, active, need = self.adj, self.active, self.need
+        adj, need = self.adj, self.need
         wave = []
         for u in seeds:
-            if not active[u]:
-                active[u] = 1
+            if need[u]:
                 need[u] = 0
                 wave.append(u)
-        # a vertex is ready once: phi = 0 ones here, the rest when their need reaches 0
-        ready = [u for u in self._zero if not active[u]] if self._zero else []
+        # a vertex is ready once: phi <= 0 ones here, zeroed before any relaxation, the rest when their need reaches 0
+        ready = [u for u in self._zero if need[u]] if self._zero else []
+        for u in ready:
+            need[u] = 0
         self._zero = None
         waves = []
         while True:
@@ -221,16 +220,14 @@ class Cascade:
             if not ready:
                 return waves
             wave, ready = ready, []  # the order within a wave changes no vertex's round
-            for u in wave:
-                active[u] = 1
 
 
 def _quotient(g: Graph, phi: Thresholds) -> SimpleNamespace:
     """The threshold-1 quotient as a compact graph with its own profile: nodes 0..k-1 are the connected classes of
     threshold-1 vertices (``connected_components`` order), then every other vertex, ascending.  ``node`` maps a
     vertex to its node, ``phi`` is 1 on a class and the vertex's own threshold elsewhere, and a node's row lists
-    ``node[v]`` for each edge (u, v) that leaves it, so a row may repeat a node; ``Cascade`` reads ``n`` and ``adj``
-    as a Graph's."""
+    ``node[v]`` for each edge (u, v) that leaves it, so a row may repeat a node; ``Cascade`` reads ``adj``, and
+    ``_covers`` ``n``, as a Graph's."""
     blocks = connected_components(g, [t == 1 for t in phi]) + [[u] for u, t in enumerate(phi) if t != 1]
     node, adj = [0] * g.n, g.adj
     for k, block in enumerate(blocks):

@@ -277,10 +277,10 @@ def greedy_kernel(
     low = bytearray(deg * p < q for deg in degrees)  # the complement of high, as a mask
     state = Cascade(g, proportional_thresholds(g, r))
     state.add(())  # closed from the start; its phi = 0 vertices are isolated, so no holds_out count reads them
-    absorbed = state.active
+    need = state.need  # a nonzero need marks a vertex outside the kernel hull
 
     def holds_out(u: int) -> bool:
-        cnt = sum(1 for v in g.adj[u] if low[v] and not absorbed[v])
+        cnt = sum(1 for v in g.adj[u] if low[v] and need[v])
         return cnt * (dp + dq) > degrees[u] * dq
 
     kernel: list[int] = []
@@ -292,7 +292,7 @@ def greedy_kernel(
         raise AssertionError("kernel terminated non-maximally")
     if len(kernel) > (1 + d) * r * g.n:
         raise AssertionError("kernel exceeded (1+delta)*rho*n")
-    g._girth5_prefixes[r, d] = (tuple(kernel), state, tuple(u for u in range(g.n) if not absorbed[u]))
+    g._girth5_prefixes[r, d] = (tuple(kernel), state, tuple(u for u in range(g.n) if need[u]))
     return tuple(kernel)
 
 
@@ -311,19 +311,19 @@ def _sampling_rounds(
     records: list[RoundRecord] = []
     while state.size < g.n and len(records) < max_rounds:
         xi = [u for u in pool if rng.random() < p1]
-        yi = tuple(u for u in xi if not state.active[u])
+        yi = tuple(u for u in xi if state.need[u])
         seed.extend(yi)
         raw.extend(xi)
         state.add(yi)
-        # discarded samples are exactly the absorbed ones: a from-scratch hull of kernel + raw samples must agree
+        # discarded samples are exactly the absorbed ones: a fresh cascade on kernel + raw samples closes to equal needs
         check = Cascade(g, state.phi)
         check.add(raw)
-        if check.active != state.active:
+        if check.need != state.need:
             raise AssertionError("raw-sample hull diverged from seed hull")
         records.append(RoundRecord(sampled=len(xi), added=yi, hull_size=state.size))
     fallback = state.size < g.n  # then every vertex still inactive is added
     if fallback:
-        seed.extend(u for u in range(g.n) if not state.active[u])
+        seed.extend(u for u in range(g.n) if state.need[u])
     return tuple(sorted(seed)), tuple(records), fallback
 
 
@@ -389,14 +389,13 @@ def girth5_construct(
     rounds_cap = default_round_count(g.n, fd) if options["max_rounds"] is None else options["max_rounds"]
     size_target = growth_constant(d) * r * g.n
     best: tuple[tuple[int, ...], tuple[RoundRecord, ...], bool] | None = None
-    for restarts in range(max_restarts + 1):  # max_restarts >= 0, so restarts is bound after the loop
+    for restarts in range(max_restarts + 1):  # max_restarts >= 0, so restarts is bound and best set after the loop
         rng = random.Random(stable_seed(rng_seed, "attempt", restarts))
         result = _sampling_rounds(g, base, kernel, pool, p1, rounds_cap, rng)
         if best is None or len(result[0]) < len(best[0]):
             best = result
         if len(result[0]) <= size_target:
             break
-    assert best is not None
     seed, records, fallback = best
     trace = Girth5Trace(kernel, base.size, records, fallback, restarts)
     params = {

@@ -10,8 +10,8 @@ and r picks still to make:
 - a vertex in H is never picked: a seed holding one stays a monopoly
   without it, so it is not minimum;
 - a vertex u outside H waits for phi'(u) = ``need[u]`` more active neighbours (phi(u)
-  less those it has; once an add returns, need is positive exactly outside H,
-  so the cuts read ``need`` alone), and an edge inside V - H serves only one endpoint, so
+  less those it has; need is positive exactly outside H, so the search and
+  the cuts read ``need`` alone), and an edge inside V - H serves only one endpoint, so
   the remaining picks must carry phi' summing to at least
   sum(phi') - m(V - H); a prefix whose later ids cannot is dropped;
 - if phi'(u) > r for every u outside H, the prefix is dropped: phi'(u) is at
@@ -76,7 +76,7 @@ def min_monopoly_exact(
         # least is the smallest phi'(u) outside H, for the first-activation rule
         twice_need, later, least = 0, [], n
         for u, k in enumerate(state.need):
-            if k:  # after an add, need is 0 exactly on the hull, as check_thresholds above put phi in [0, deg]
+            if k:  # need is 0 exactly on the hull
                 twice_need += k - slack[u]
                 if k < least:
                     least = k
@@ -97,9 +97,9 @@ def min_monopoly_exact(
         stack = [(root, k, iter(range(n - k + 1)), -1)]
         while stack:
             state, r, candidates, _ = stack[-1]
-            active = state.active
+            need = state.need
             for c in candidates:
-                if active[c]:
+                if need[c] == 0:  # in the hull
                     continue
                 child = state.fork()
                 child.add((c,))

@@ -55,6 +55,16 @@ def test_sources_parse_as_the_oldest_supported_python():
             assert _newer_stdlib_names(tree) == set(), path
 
 
+def test_no_assert_statement_in_the_package():
+    # python -O strips assert statements: every self-check in the package raises AssertionError explicitly instead
+    files = sorted((ROOT / "src" / "dynmono").glob("*.py"))
+    assert len(files) > 10
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name}: assert statement on line(s) {lines}"
+
+
 # Standard-library names new in 3.11, which parse as 3.10 syntax and fail only when 3.10 runs them
 STDLIB_311 = {"tomllib", "typing.Self", "enum.StrEnum", "ExceptionGroup", "BaseExceptionGroup", "asyncio.TaskGroup",
               "datetime.UTC", "hashlib.file_digest", "contextlib.chdir", "math.cbrt", "math.exp2", "operator.call"}

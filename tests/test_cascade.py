@@ -225,7 +225,7 @@ def test_hull_closure_laws_quick():
         state = Cascade(g, phi)
         for lo, hi in zip([0, *cuts], [*cuts, len(order)]):
             state.add(order[lo:hi])
-        assert frozenset(u for u in range(n) if state.active[u]) == rb.active
+        assert _settled(state) == rb.active
 
 
 def test_hull_fixed_point_characterization():
@@ -269,9 +269,15 @@ def test_hull_rounds_match_synchronous_reference():
     assert hull(p3, (0, 2, 1), [2]).rounds == {2: 0, 0: 1, 1: 2}
 
 
-def _assert_settled(state: Cascade) -> None:
-    """Once an add returns, need is 0 exactly on the active set (phi = 0 vertices and repeated seeds included)."""
-    assert [not k for k in state.need] == [bool(a) for a in state.active]
+def _settled(state: Cascade) -> set[int]:
+    """The vertices with need 0: seeded, queued or active."""
+    return {u for u, k in enumerate(state.need) if k == 0}
+
+
+def _assert_settled(g, phi, state: Cascade, seeds) -> None:
+    """Once an add returns, need is 0 exactly on the naive hull of every seed added so far (phi = 0 vertices and
+    repeated seeds included)."""
+    assert _settled(state) == naive_hull(adj_lists(g), phi, seeds)
 
 
 def _chunk(rng: random.Random, n: int) -> list[int]:
@@ -284,18 +290,20 @@ def test_cascade_invariants_over_chunked_adds():
     rng = random.Random(31)
     for _ in range(200):
         g, phi = _random_case(rng)
-        adj, state, before = adj_lists(g), Cascade(g, phi), set()
+        adj, state, before, seeds = adj_lists(g), Cascade(g, phi), set(), []
+        assert all(state.need)  # before the first add nothing is settled, phi = 0 vertices included
         for _ in range(rng.randint(1, 4)):
             chunk = _chunk(rng, g.n)
             waves = state.add(chunk)
-            _assert_settled(state)
+            seeds += chunk
+            _assert_settled(g, phi, state, seeds)
             # an add returns its own waves, round r at index r: the synchronous rounds from the old hull plus the chunk
             assert waves and all(waves[1:])
             joined = {u: r for u, r in naive_rounds(adj, phi, before | set(chunk)).items() if u not in before}
             assert {u: r for r, wave in enumerate(waves) for u in wave} == joined
-            active = {u for u in range(g.n) if state.active[u]}
+            active = _settled(state)
             assert active == before | joined.keys()
-            assert state.size == sum(state.active) == len(active) == len(before) + sum(map(len, waves))
+            assert state.size == len(active) == len(before) + sum(map(len, waves))
             for u in set(range(g.n)) - active:
                 assert state.need[u] == phi[u] - sum(v in active for v in adj[u])
             before = active
@@ -303,7 +311,7 @@ def test_cascade_invariants_over_chunked_adds():
 
 def test_fork_and_parent_stay_apart():
     def snapshot(state: Cascade):
-        return bytes(state.active), list(state.need), state.size
+        return list(state.need), state.size
 
     rng = random.Random(37)
     for _ in range(150):
@@ -316,22 +324,23 @@ def test_fork_and_parent_stay_apart():
         kept = snapshot(parent)
         twin = parent.fork()
         twin.add(picks[1])
-        _assert_settled(twin)
+        _assert_settled(g, phi, twin, picks[0] + picks[1])
         twin.add(picks[2])
-        _assert_settled(twin)
+        _assert_settled(g, phi, twin, picks[0] + picks[1] + picks[2])
         assert snapshot(parent) == kept
-        _assert_settled(parent)
+        _assert_settled(g, phi, parent, picks[0])
         fresh = Cascade(g, phi)
         for chunk in picks:
             fresh.add(chunk)
         assert snapshot(twin) == snapshot(fresh)
         parent.add(picks[2])
-        _assert_settled(parent)
+        _assert_settled(g, phi, parent, picks[0] + picks[2])
         assert snapshot(twin) == snapshot(fresh)
         # a fork taken before the first add still activates the phi = 0 vertices on its own first add
         early = Cascade(g, phi).fork()
+        assert all(early.need)
         early.add(())
-        _assert_settled(early)
+        _assert_settled(g, phi, early, [])
 
 
 def test_waves_match_the_decrementing_engine_order_included():
@@ -344,7 +353,7 @@ def test_waves_match_the_decrementing_engine_order_included():
         for _ in range(rng.randint(1, 5)):
             chunk = [rng.randrange(g.n) for _ in range(rng.randint(0, max(1, g.n // 8)))] if g.n else []
             assert state.add(chunk) == reference.add(chunk)
-            assert state.size == reference.size and state.active == reference.active
+            assert state.size == reference.size and _settled(state) == {u for u, a in enumerate(reference.active) if a}
             if rng.random() < 0.3:
                 state, reference = state.fork(), copy.deepcopy(reference)
 

@@ -5,10 +5,11 @@ import hashlib
 import json
 import math
 import random
+import re
 import statistics
 import weakref
 from fractions import Fraction
-from itertools import compress, permutations
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -478,7 +479,7 @@ def test_girth5_reads_the_state_greedy_kernel_closed(monkeypatch):
         phi = proportional_thresholds(graph, rho)
         active = hull(graph, phi, kernel).active
         assert cached == kernel and state.phi is phi and active
-        assert set(compress(range(graph.n), state.active)) == active and state.size == len(active)
+        assert {u for u, k in enumerate(state.need) if k == 0} == active and state.size == len(active)
         assert pool == tuple(u for u in range(graph.n) if u not in active)
     entries = dict(vars(g)["_girth5_prefixes"])
     expected = girth5_construct(from_edges(g.n, g.edges()), "1/3", delta="1/2", rng_seed=1)
@@ -500,28 +501,38 @@ def test_girth5_kernel_cache_drops_its_graph():
 
 def test_girth5_preconditions():
     c4 = generate(GeneratorSpec("cycle", 4))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=re.escape("cycle of length 3 or 4")):
         girth5_construct(c4, "1/2", delta="1/2", rng_seed=0)
     ms = girth5_construct(c4, "1/2", delta="1/2", rng_seed=0, allow_low_girth=True)
     assert ms.verified
 
     two_parts = from_edges(4, [(0, 1), (2, 3)])
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=re.escape("connected")):
         girth5_construct(two_parts, "1/2", delta="1/2")
 
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=re.escape("sampling probability")):
         girth5_construct(petersen(), "2/3", delta="1/2")  # sampling probability above 1
 
     p3 = generate(GeneratorSpec("path", 3))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=re.escape("degree >= 1/rho")):
         girth5_construct(p3, "1/10", delta="1/2")  # max degree below 1/rho
 
-    for kwargs in (
-        {"rho": float("nan")}, {"rho": "inf"}, {"delta": "3/2"}, {"epsilon": float("nan")}, {"max_restarts": -1},
-        {"delta": "1/5", "epsilon": -3}, {"delta": "1/5", "epsilon": float("nan")}, {"epsilon": float("inf")},
-        {"max_rounds": 2.5}, {"max_restarts": True}, {"delta": "1e-400"}, {"delta": "1e-400", "max_rounds": 3},
+    # each case names why it is refused, so a case refused for another reason fails here
+    for kwargs, message in (
+        ({"rho": float("nan")}, "cannot interpret rho"),
+        ({"rho": "inf"}, "cannot interpret rho"),
+        ({"delta": "3/2"}, "delta must lie in"),
+        ({"epsilon": float("nan")}, "epsilon must be a number"),
+        ({"max_restarts": -1}, "max_restarts must be non-negative"),
+        ({"delta": "1/5", "epsilon": -3}, "epsilon must be a finite number above 0"),
+        ({"delta": "1/5", "epsilon": float("nan")}, "epsilon must be a number"),
+        ({"epsilon": float("inf")}, "epsilon must be a finite number above 0"),
+        ({"max_rounds": 2.5}, "max_rounds must be an integer"),
+        ({"max_restarts": True}, "max_restarts must be an integer"),
+        ({"delta": "1e-400"}, "rounds to 0 as a float"),
+        ({"delta": "1e-400", "max_rounds": 3}, "rounds to 0 as a float"),
     ):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=re.escape(message)):
             girth5_construct(petersen(), **{"rho": "1/3", **kwargs})
 
 
