@@ -12,10 +12,10 @@ S | T contains hull(S) | T.  A state keeps residual needs and the active count a
 activation waves.  A need of 0 marks a settled vertex (seeded, queued or active), so a closed state's hull is its
 zero needs; a relaxation counts down only a waiting vertex, a hit on a settled one costs one read, and an add costs
 the degrees of the vertices it activates.  ``hull``, the checked entry, is one add on a fresh state, and
-``is_monopoly`` runs its checks and asks only for coverage, without building a record.  The package runs states
-unchecked: constructor self-checks, the greedy kernel, and forks for girth5 attempts and exact-search prefixes.
+``is_monopoly``, the one seed check (the constructors' too), runs its checks and asks only for coverage, with no record.
+The package runs states unchecked only in the greedy kernel and the forks for girth5 attempts and exact-search prefixes.
 
-Coverage checks (``is_monopoly`` and the constructors' self-checks) that come back to one profile cached by
+Coverage checks by ``is_monopoly`` that come back to one profile cached by
 ``proportional_thresholds`` run on its threshold-1 quotient, a compact graph on nodes 0..k-1 with its own profile:
 each connected class of threshold-1 vertices is one node of threshold 1, every other vertex one node of its own
 threshold, and each edge between different nodes keeps one adjacency entry, so a node may list another twice.  It is
@@ -227,7 +227,7 @@ def _quotient(g: Graph, phi: Thresholds) -> SimpleNamespace:
     threshold-1 vertices (``connected_components`` order), then every other vertex, ascending.  ``node`` maps a
     vertex to its node, ``phi`` is 1 on a class and the vertex's own threshold elsewhere, and a node's row lists
     ``node[v]`` for each edge (u, v) that leaves it, so a row may repeat a node; ``Cascade`` reads ``adj``, and
-    ``_covers`` ``n``, as a Graph's."""
+    ``is_monopoly`` ``n``, as a Graph's."""
     blocks = connected_components(g, [t == 1 for t in phi]) + [[u] for u, t in enumerate(phi) if t != 1]
     node, adj = [0] * g.n, g.adj
     for k, block in enumerate(blocks):
@@ -237,32 +237,16 @@ def _quotient(g: Graph, phi: Thresholds) -> SimpleNamespace:
     return SimpleNamespace(n=len(blocks), adj=rows, phi=[phi[block[0]] for block in blocks], node=node)
 
 
-def _covers(g: Graph, phi: Thresholds, seed: Iterable[int]) -> bool:
-    """True iff a fresh Cascade from ``seed`` (valid ids) covers g: plain, or from the second check of a profile
-    cached on g, on its quotient, built by that check (see the module docstring)."""
-    quotients, net, image = g._quotients, g, seed
-    rho = next((r for r, t in g._profiles.items() if t is phi), None)
-    if rho in quotients:
-        net = quotients[rho] = quotients[rho] or _quotient(g, phi)
-        phi, image = net.phi, map(net.node.__getitem__, seed)
-    elif rho is not None:
-        quotients[rho] = None
-    state = Cascade(net, phi)
-    state.add(image)
-    return state.size == net.n
-
-
-def _checked(g: Graph, phi: Thresholds, seed: Iterable[int]) -> list[int]:
-    """``seed`` as sorted distinct ids, after ``hull``'s checks of thresholds and ids."""
+def _checked(g: Graph, phi: Thresholds, seed: Iterable[int]) -> tuple[int, ...]:
+    """``seed`` as a tuple of the caller's ids, in the caller's order, after ``hull``'s checks of thresholds and ids."""
     check_thresholds(g, phi)
     ids = tuple(seed)
     if not set(map(type, ids)) <= {int}:  # bools and floats included: name the first such id
         bad = next(u for u in ids if type(u) is not int)
         raise PreconditionError(f"seed id {bad!r} is not an integer")
-    seed_list = sorted(set(ids))
-    if seed_list and (seed_list[0] < 0 or seed_list[-1] >= g.n):
+    if ids and (min(ids) < 0 or max(ids) >= g.n):
         raise PreconditionError(f"seed contains ids outside 0..{g.n - 1}")
-    return seed_list
+    return ids
 
 
 def hull(g: Graph, phi: Thresholds, seed: Iterable[int]) -> CascadeResult:
@@ -273,8 +257,18 @@ def hull(g: Graph, phi: Thresholds, seed: Iterable[int]) -> CascadeResult:
 
 
 def is_monopoly(g: Graph, phi: Thresholds, seed: Iterable[int]) -> bool:
-    """True iff the hull of ``seed`` covers every vertex: ``hull``'s checks, then ``_covers``, with no record."""
-    return _covers(g, phi, _checked(g, phi, seed))
+    """True iff the hull of ``seed`` covers every vertex, with no record: ``hull``'s checks, then a fresh Cascade
+    from the seed, plain or, from the second check of a profile cached on g, on its quotient (module docstring)."""
+    quotients, net, image = g._quotients, g, _checked(g, phi, seed)
+    rho = next((r for r, t in g._profiles.items() if t is phi), None)
+    if rho in quotients:
+        net = quotients[rho] = quotients[rho] or _quotient(g, phi)
+        phi, image = net.phi, map(net.node.__getitem__, image)
+    elif rho is not None:
+        quotients[rho] = None
+    state = Cascade(net, phi)
+    state.add(image)
+    return state.size == net.n
 
 
 def parse_seed_set(text: str, n: int) -> tuple[int, ...]:

@@ -32,8 +32,8 @@ Four methods, named by their CLI tags:
     (all others have threshold 1, so the cascade floods); one vertex when
     none qualifies.
 
-Every constructor hull-verifies its output on a fresh ``Cascade`` before
-returning; a failed verification raises, it is never an unverified seed.
+Every constructor hull-verifies its output with ``is_monopoly``, the one seed
+check, before returning; a failed check raises, it never returns a bad seed.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
-from .cascade import (Cascade, Thresholds, _covers, check_count, check_thresholds, proportional_thresholds, to_fraction,
-                      to_number)
+from .cascade import (Cascade, Thresholds, check_count, check_thresholds, is_monopoly, proportional_thresholds,
+                      to_fraction, to_number)
 from .errors import PreconditionError
 from .graphs import Graph, girth_at_least_five, is_tree
 from .seeding import shuffled_range, stable_seed
@@ -218,8 +218,8 @@ class MonopolySeed(NamedTuple):
 
 def _verified(g: Graph, phi: Thresholds, method: str, seed: tuple[int, ...], params: dict,
               trace: Girth5Trace | None = None) -> MonopolySeed:
-    """The seed's record, marked verified once a fresh Cascade from the seed covers the graph (``cascade._covers``)."""
-    if not _covers(g, phi, seed):
+    """The seed's record, marked verified once ``is_monopoly`` finds that the seed's hull covers the graph."""
+    if not is_monopoly(g, phi, seed):
         raise AssertionError(f"{method} produced a non-monopoly seed")
     return MonopolySeed(method=method, seed=seed, params=params, verified=True, trace=trace)
 

@@ -96,8 +96,8 @@ def prufer_decode(seq: list[int], n: int) -> Graph:
         raise PreconditionError(f"sequence length must be {n - 2}, got {len(seq)}")
     degree = [1] * n
     for x in seq:
-        if not 0 <= x < n:
-            raise PreconditionError(f"sequence entry {x} out of range")
+        if type(x) is not int or not 0 <= x < n:
+            raise PreconditionError(f"sequence entry {x!r} is not a vertex id in 0..{n - 1}")
         degree[x] += 1
     expected = degree[:]  # the decode below counts degree down
     edges: list[tuple[int, int]] = []

@@ -65,6 +65,27 @@ def test_no_assert_statement_in_the_package():
         assert lines == [], f"{path.name}: assert statement on line(s) {lines}"
 
 
+def _private_imports(tree: ast.AST) -> list[str]:
+    """The names with a leading underscore that ``tree`` imports from a ``dynmono`` module, relative or absolute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "dynmono"):
+            found += [f"{node.module or '.'}.{alias.name}" for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+def test_modules_import_only_public_names_from_each_other():
+    # a private name stays its module's own: another module reaches it through a public entry
+    assert _private_imports(ast.parse("from .cascade import Cascade, _quotient\nfrom dynmono.graphs import _x")) == [
+        "cascade._quotient", "dynmono.graphs._x"]
+    assert _private_imports(ast.parse("from __future__ import annotations\nfrom os import _exit")) == []
+    files = sorted((ROOT / "src" / "dynmono").glob("*.py"))
+    assert len(files) > 10
+    for path in files:
+        private = _private_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        assert private == [], f"{path.name} imports private name(s) {private}"
+
+
 # Standard-library names new in 3.11, which parse as 3.10 syntax and fail only when 3.10 runs them
 STDLIB_311 = {"tomllib", "typing.Self", "enum.StrEnum", "ExceptionGroup", "BaseExceptionGroup", "asyncio.TaskGroup",
               "datetime.UTC", "hashlib.file_digest", "contextlib.chdir", "math.cbrt", "math.exp2", "operator.call"}

@@ -384,6 +384,15 @@ def test_is_monopoly_checks_as_hull_does():
         seed = [u for u in range(g.n) if rng.random() < rng.choice((0.1, 0.3, 0.6))]
         assert is_monopoly(g, phi, seed) == hull(g, phi, seed).is_monopoly
         assert is_monopoly(g, phi, iter(seed)) == (len(naive_hull(adj_lists(g), phi, seed)) == g.n)
+        # the ids go on as given: reversed, or with an id repeated, they give the sorted seed's rounds and answer,
+        # on a plain profile and on a cached one (its first check plain, the second and third on its quotient)
+        rounds, covered = hull(g, phi, seed).rounds, is_monopoly(g, phi, seed)
+        cached = proportional_thresholds(g, Fraction(1, rng.randint(1, 4)))
+        cached_covered = len(naive_hull(adj_lists(g), cached, seed)) == g.n
+        for other in (seed[::-1], seed + seed[:1]):
+            assert hull(g, phi, other).rounds == rounds == naive_rounds(adj_lists(g), phi, other)
+            assert is_monopoly(g, phi, other) == covered
+            assert [is_monopoly(g, cached, other) for _ in range(3)] == [cached_covered] * 3
 
 
 def test_high_degree_superset_is_monopoly_on_connected():

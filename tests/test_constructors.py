@@ -427,6 +427,25 @@ def test_girth5_each_attempt_starts_from_the_kernel_hull():
     assert hashlib.sha256(record).hexdigest() == "bb6aad305d9872a1b6cb3eaf00849335819ef3c049160170799e637f18bf5c91"
 
 
+def test_every_builder_checks_its_seed_through_is_monopoly(monkeypatch):
+    # each method checks the seed it returns once, on the profile cached for rho, and a refused seed raises
+    pet, rho = petersen(), Fraction(1, 3)
+    cases = {"abw": pet, "girth5": pet, "tree": generate(GeneratorSpec("random_tree", 40, rng_seed=5)), "v2": pet}
+    assert cases.keys() == constructors_mod.BUILDERS.keys()
+    monkeypatch.setattr(constructors_mod, "is_monopoly", lambda g, phi, seed: False)
+    for method, g in cases.items():
+        with pytest.raises(AssertionError, match=f"^{method} produced a non-monopoly seed$"):
+            constructors_mod.BUILDERS[method](g, rho, 0)
+    checks = []
+    monkeypatch.setattr(constructors_mod, "is_monopoly", lambda *args: checks.append(args) or True)
+    for method, g in cases.items():
+        checks.clear()
+        result = constructors_mod.BUILDERS[method](g, rho, 0)
+        assert len(checks) == 1, method
+        (checked_g, phi, seed), = checks
+        assert checked_g is g and phi is proportional_thresholds(g, rho) and seed == result.seed, method
+
+
 def test_girth5_kernel_cache_matches_fresh_graphs(monkeypatch):
     # the prefix is cached on the graph per (rho, delta): interleaved calls on two live graphs must give the
     # records of calls on fresh equal graphs, each of which starts with no cache and builds its own prefix

@@ -116,8 +116,13 @@ def test_prufer_decode_small():
     assert prufer_decode([], 1).n == 1
     with pytest.raises(PreconditionError):
         prufer_decode([0], 2)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"^sequence entry 5 is not a vertex id in 0\.\.2$"):
         prufer_decode([5], 3)
+    # a float or a bool is refused as an entry, not indexed or joined as an edge
+    with pytest.raises(PreconditionError, match=r"^sequence entry 1\.0 is not a vertex id in 0\.\.3$"):
+        prufer_decode([1.0, 0], 4)
+    with pytest.raises(PreconditionError, match=r"^sequence entry True is not a vertex id in 0\.\.3$"):
+        prufer_decode([True, 0], 4)
 
 
 def test_random_tree_is_tree_and_deterministic():
