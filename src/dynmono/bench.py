@@ -132,9 +132,10 @@ def _list(raw: dict, name: str) -> list:
 
 def load_config(path: str | Path) -> BenchConfig:
     """Read a JSON bench config; see README for the schema."""
+    text = from_file(path, "config", str)
     try:
-        raw = from_file(path, "config", json.loads)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad JSON, an int past the digit limit, or nesting past the stack
         raise InputFormatError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise InputFormatError(f"{path}: config must be a JSON object")

@@ -50,17 +50,21 @@ def to_fraction(value: Fraction | int | str | float, name: str = "rho", upper: F
     Takes a Fraction, an int, a "P/Q" or decimal string ("0.3" is exactly
     3/10) or a float, read through its shortest repr (0.1 is 1/10).  Anything
     else, booleans, NaN and infinities included, raises PreconditionError
-    naming ``name``, as does a decimal exponent above sys.get_int_max_str_digits(), the limit a "P/Q" hits in int()
-    (4300, CPython's default, on a 3.10 older than 3.10.7, which lacks it): Fraction would build 10**exponent.
+    naming ``name``, as does a value whose reduced numerator or denominator has more digits than str() prints, the
+    limit sys.get_int_max_str_digits(); a decimal exponent above it (4300, CPython's default, on a 3.10 older than
+    3.10.7, which lacks the function) is refused before Fraction builds 10**exponent.
     """
     exact = type(value) in (Fraction, int)  # bools take the str path
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
     try:
         _, e, exponent = ("" if exact else str(value).lower()).rpartition("e")
-        if e and 0 < getattr(sys, "get_int_max_str_digits", lambda: 4300)() < abs(int(exponent)):
+        if e and 0 < digits < abs(int(exponent)):
             raise ValueError("decimal exponent too large")
         r = Fraction(value) if exact else Fraction(str(value))
+        str(r)  # a ValueError past the digit limit
     except (ValueError, ZeroDivisionError):
-        raise PreconditionError(f"cannot interpret {name} {value!r} as a rational") from None
+        shown = f"of more than {digits} digits" if exact else repr(value)  # an exact value fails only on its digits
+        raise PreconditionError(f"cannot interpret {name} {shown} as a rational") from None
     if not 0 < r <= upper:
         raise PreconditionError(f"{name} must lie in (0, {upper}], got {r}")
     return r

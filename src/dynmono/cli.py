@@ -76,7 +76,7 @@ def cmd_solve(args) -> None:
     phi = proportional_thresholds(g, parse_rho(args.rho))
     t0 = time.perf_counter()
     try:
-        result = min_monopoly_exact(g, phi, limit=limit, force=args.force)
+        result = min_monopoly_exact(g, phi, limit=None if args.force else limit)
     except SizeLimitError:  # the library's message names its keyword, not the flags
         raise SizeLimitError(f"exact search on {g.n} vertices exceeds --limit {limit}; pass --force to override")
     record = {

@@ -45,22 +45,15 @@ class ExactResult(NamedTuple):
     cascades: int
 
 
-def min_monopoly_exact(
-    g: Graph,
-    phi: Thresholds,
-    limit: int = DEFAULT_SIZE_LIMIT,
-    force: bool = False,
-) -> ExactResult:
+def min_monopoly_exact(g: Graph, phi: Thresholds, limit: int | None = DEFAULT_SIZE_LIMIT) -> ExactResult:
     """Minimum size of a monopoly, with a lexicographically-least witness.
 
-    Refuses graphs larger than ``limit`` vertices unless ``force`` is set;
-    the search may still run up to 2^n cascades.
+    Refuses graphs larger than ``limit`` vertices; ``limit=None`` searches any
+    size, which may run up to 2^n cascades.
     """
     check_thresholds(g, phi)
-    if g.n > limit and not force:
-        raise SizeLimitError(
-            f"exact search on {g.n} vertices exceeds the limit {limit}; pass force=True to override"
-        )
+    if limit is not None and g.n > limit:
+        raise SizeLimitError(f"exact search on {g.n} vertices exceeds the limit {limit}; pass limit=None to override")
     n = g.n
     slack = [d - t for t, d in zip(phi, g.degrees)]
     root = Cascade(g, phi)

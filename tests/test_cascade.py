@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -59,11 +60,28 @@ def test_to_fraction_exact_and_named():
 
 def test_to_fraction_without_the_digit_limit_function(monkeypatch):
     # Python 3.10 before 3.10.7 has no sys.get_int_max_str_digits: CPython's default limit, 4300, applies
+    # for the exponent; str() keeps this interpreter's limit, so 1e-4299 at the default one is the deepest value taken
+    digits = sys.get_int_max_str_digits()
     monkeypatch.delattr(sys, "get_int_max_str_digits")
     with pytest.raises(PreconditionError, match="cannot interpret rho '1e-5000' as a rational"):
         to_fraction("1e-5000")
     assert to_fraction("1e-1") == Fraction(1, 10)
-    assert to_fraction("1e-4300") == Fraction(1, 10**4300)
+    assert to_fraction(f"1e-{digits - 1}") == Fraction(1, 10 ** (digits - 1))
+
+
+def test_to_fraction_refuses_what_it_cannot_print():
+    # the reduced numerator and denominator may have as many digits as the interpreter's limit, and no more
+    digits = sys.get_int_max_str_digits()
+    assert to_fraction(f"1e-{digits - 1}") == Fraction(1, 10 ** (digits - 1))
+    assert to_fraction(f"2e-{digits}") == Fraction(1, 5 * 10 ** (digits - 1))  # reduced, it has `digits` digits
+    with pytest.raises(PreconditionError, match="rho must lie in"):
+        to_fraction(f"1e{digits - 1}")  # too large, but printable
+    for bad in (f"1e-{digits}", f"1e{digits}", f"12e{digits - 1}", f"1.5e{digits}", f"1/{10 ** digits // 9}0"):
+        with pytest.raises(PreconditionError, match=re.escape(f"cannot interpret rho {bad!r} as a rational")):
+            to_fraction(bad)
+    for bad in (10**digits, Fraction(1, 10**digits)):
+        with pytest.raises(PreconditionError, match=f"cannot interpret delta of more than {digits} digits"):
+            to_fraction(bad, "delta")
 
 
 def test_proportional_thresholds_exact_ceilings():

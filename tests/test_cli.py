@@ -352,12 +352,16 @@ def test_input_error_exits(capsys, tmp_path, petersen_file):
     assert code == 1
 
     # a bad --delta is an input error naming delta, like a bad --rho; 1e-400, whose float is 0, is refused where
-    # it enters, with or without a round count, not left to fail in the float code
-    for extra in (
-        ["--rho", "1/3", "--delta", "abc"], ["--rho", "1/3", "--delta", "3/2"], ["--rho", "abc"], ["--rho", "1e-5000"],
-        ["--rho", "1/3", "--delta", "1e-400"], ["--rho", "1/3", "--max-rounds", "3", "--delta", "1e-400"],
+    # it enters, with or without a round count, not left to fail in the float code; so is a value past the
+    # int-string digit limit, which no record could print
+    for method, *extra in (
+        ["girth5", "--rho", "1/3", "--delta", "abc"], ["girth5", "--rho", "1/3", "--delta", "3/2"],
+        ["girth5", "--rho", "abc"], ["girth5", "--rho", "1e-5000"], ["girth5", "--rho", "1/3", "--delta", "1e-400"],
+        ["girth5", "--rho", "1/3", "--max-rounds", "3", "--delta", "1e-400"], ["girth5", "--rho", "1e4300"],
+        ["girth5", "--rho", "12e4299"], ["girth5", "--rho", "1e-4300"], ["girth5", "--rho", "1/3", "--delta", "1e4300"],
+        ["v2", "--rho", "1e-4300"],
     ):
-        code, out, err = run_cli(capsys, "construct", "-g", str(petersen_file), "--method", "girth5", *extra)
+        code, out, err = run_cli(capsys, "construct", "-g", str(petersen_file), "--method", method, *extra)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and extra[-2][2:] in err
 
@@ -415,6 +419,22 @@ def test_bench_bad_integer_field_exits_1(capsys, tmp_path, key):
     assert code == 1
     kind = "a number" if key == "epsilon" else "an integer"
     assert err.strip().count("\n") == 0 and f"{key} must be {kind}" in err
+
+
+def test_bench_config_past_the_parser_limits_exits_1(capsys, tmp_path):
+    # an int past the digit limit, nesting past the stack, or a rho no record could print: one line naming the file
+    cfg_path = tmp_path / "bench.json"
+    digits = sys.get_int_max_str_digits()
+    for text, message in (
+        (f'{{"trials": {"1" * (digits + 1)}}}', "not valid JSON: Exceeds the limit"),
+        ("[" * 100_000, "not valid JSON: maximum recursion depth exceeded"),
+        ('{"instances": ["petersen"], "rhos": ["1e-4300"], "methods": ["v2"]}',
+         "cannot interpret rho '1e-4300' as a rational"),
+    ):
+        cfg_path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "bench", "--config", str(cfg_path), "-o", str(tmp_path / "o.csv"))
+        assert (code, out) == (1, "") and err.startswith(f"error: {cfg_path}: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_internal_error_exits_4(capsys, monkeypatch, petersen_file):
@@ -634,9 +654,10 @@ def test_console_entry_reads_sys_argv(capsys, tmp_path):
     def without_clock(out):
         return re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', out)
 
-    for argv in (["params", "--epsilon", "0.5"], ["solve", "-g", str(path), "--rho", "1"]):
+    for argv in (["params", "--epsilon", "0.5"], ["solve", "-g", str(path), "--rho", "1"],
+                 ["solve", "-g", str(path), "--rho", "1e4300"]):  # a value past the digit limit: one line, no traceback
         proc = subprocess.run([sys.executable, "-m", "dynmono", *argv], capture_output=True, text=True, env=env,
                               check=False)
         code, out, err = run_cli(capsys, *argv)
         assert (proc.returncode, without_clock(proc.stdout), proc.stderr) == (code, without_clock(out), err)
-        assert code == 0 and out
+        assert code == 0 and out or (code, out, err) == (1, "", "error: cannot interpret rho '1e4300' as a rational\n")

@@ -110,7 +110,7 @@ def test_exact_pinned_solves(family, n, rho, h, witness, nodes_explored, max_cas
     # h, witness and nodes_explored recorded from the exhaustive solver; the
     # cascade ceilings fail a search that stops pruning
     g = generate(GeneratorSpec(family, n))
-    res = min_monopoly_exact(g, proportional_thresholds(g, rho), force=True)
+    res = min_monopoly_exact(g, proportional_thresholds(g, rho), limit=None)
     assert (res.h, res.witness, res.nodes_explored) == (h, witness, nodes_explored)
     assert max_cascades is None or res.cascades <= max_cascades
 
@@ -125,7 +125,7 @@ def test_deep_witness_needs_no_recursion():
     saved = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 100)
     try:
-        res = min_monopoly_exact(p400, phi, force=True)
+        res = min_monopoly_exact(p400, phi, limit=None)
     finally:
         sys.setrecursionlimit(saved)
     assert (res.h, res.witness) == (200, tuple(range(0, 400, 2)))
@@ -134,10 +134,12 @@ def test_deep_witness_needs_no_recursion():
 def test_size_limit():
     p30 = generate(GeneratorSpec("path", 30))
     phi = proportional_thresholds(p30, "1/2")
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError, match="exceeds the limit 24; pass limit=None to override"):
         min_monopoly_exact(p30, phi)
-    res = min_monopoly_exact(p30, phi, limit=5, force=True)
-    assert res.h == 1
+    with pytest.raises(SizeLimitError, match="exceeds the limit 29"):
+        min_monopoly_exact(p30, phi, limit=29)
+    assert min_monopoly_exact(p30, phi, limit=30).h == 1
+    assert min_monopoly_exact(p30, phi, limit=None).h == 1
 
 
 def test_abw_bound_values():
