@@ -52,7 +52,8 @@ def to_fraction(value: Fraction | int | str | float, name: str = "rho", upper: F
     else, booleans, NaN and infinities included, raises PreconditionError
     naming ``name``, as does a value whose reduced numerator or denominator has more digits than str() prints, the
     limit sys.get_int_max_str_digits(); a decimal exponent above it (4300, CPython's default, on a 3.10 older than
-    3.10.7, which lacks the function) is refused before Fraction builds 10**exponent.
+    3.10.7, which lacks the function) is refused before Fraction builds 10**exponent.  A value out of range whose
+    text runs past 50 characters is named by its side of the range and its length.
     """
     exact = type(value) in (Fraction, int)  # bools take the str path
     digits = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
@@ -61,12 +62,14 @@ def to_fraction(value: Fraction | int | str | float, name: str = "rho", upper: F
         if e and 0 < digits < abs(int(exponent)):
             raise ValueError("decimal exponent too large")
         r = Fraction(value) if exact else Fraction(str(value))
-        str(r)  # a ValueError past the digit limit
+        text = str(r)  # a ValueError past the digit limit
     except (ValueError, ZeroDivisionError):
         shown = f"of more than {digits} digits" if exact else repr(value)  # an exact value fails only on its digits
         raise PreconditionError(f"cannot interpret {name} {shown} as a rational") from None
     if not 0 < r <= upper:
-        raise PreconditionError(f"{name} must lie in (0, {upper}], got {r}")
+        side = "below 0" if r < 0 else f"above {upper}"
+        shown = text if len(text) <= 50 else f"a value {side} written in {len(text)} characters"
+        raise PreconditionError(f"{name} must lie in (0, {upper}], got {shown}")
     return r
 
 

@@ -6,10 +6,12 @@ that every iteration order in the package is deterministic.
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from operator import not_
+from itertools import pairwise, repeat, starmap
+from operator import add, lt, mul, not_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputFormatError, PreconditionError
@@ -22,6 +24,9 @@ Using +inf keeps comparisons like ``girth(g) >= 5`` meaningful for forests.
 
 MAX_VERTICES = 10**7
 """The largest header n that :func:`parse_graph` accepts."""
+
+_SHAPE = str.maketrans("\t", " ", "0123456789")  # what is left of a line of two ids split by a space or a tab: " "
+_COMMAS = str.maketrans(" \t\n", ",,,")
 
 
 @dataclass(frozen=True)
@@ -65,20 +70,20 @@ class Graph:
 
 
 def _simple_graph(n: int, us: list[int], vs: list[int]) -> Graph | None:
-    """The graph on 0..n-1 with the edges (us[i], vs[i]), built with builtins.
+    """The graph on 0..n-1 with the edges (us[i], vs[i]) in :func:`serialize_graph` order, built with builtins.
 
-    None when an endpoint lies outside 0..n-1, an edge is a self-loop or an
-    edge repeats in either orientation: :func:`parse_graph` then walks the
-    document to name the first error.
+    None unless 0 <= u < v < n for every edge and the keys u*n+v strictly
+    increase: :func:`parse_graph` then walks the document, which reads any
+    other order to the same graph or names the first error.  That order
+    holds neither a self-loop nor a repeat in either orientation, and each
+    row comes out sorted because it takes its lower neighbours first.
     """
-    if us and not (min(us) >= 0 and min(vs) >= 0 and max(us) < n and max(vs) < n):
+    if us and not (min(us) >= 0 and max(vs) < n and all(map(lt, us, vs))
+                   and all(starmap(lt, pairwise(map(add, map(mul, us, repeat(n)), vs))))):
         return None
     adj: list[list[int]] = [[] for _ in range(n)]
-    deque(map(list.append, map(adj.__getitem__, us), vs), 0)
     deque(map(list.append, map(adj.__getitem__, vs), us), 0)
-    if sum(map(len, map(set, adj))) != 2 * len(us):  # a self-loop puts u twice in adj[u], as a repeated edge does
-        return None
-    deque(map(list.sort, adj), 0)
+    deque(map(list.append, map(adj.__getitem__, us), vs), 0)
     return Graph(n=n, adj=tuple(map(tuple, adj)))
 
 
@@ -111,27 +116,39 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n=n, adj=tuple(tuple(sorted(nbrs)) for nbrs in adj))
 
 
+def _scan(text: str) -> list[int]:
+    """The ids of a document in :func:`serialize_graph`'s layout, read by one JSON scan; [] for any other layout."""
+    body = text[:-1] if text.endswith("\n") else text
+    if body.translate(_SHAPE) != " \n" * body.count("\n") + " ":
+        return []
+    try:
+        return json.loads("[" + body.translate(_COMMAS) + "]")
+    except ValueError:  # an empty token, a leading zero, or more digits than int() reads
+        return []
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list document format; a header n above ``MAX_VERTICES`` is refused before any list is allocated.
 
     Format: optional comment lines starting with '#' (and blank lines),
     a header line "n m", then exactly m lines "u v" with 0-based endpoints.
-    A valid document without '#' is accepted in one builtin pass: every line
-    holds 0 or 2 integer tokens, there are m edge lines, and the edges make a
-    simple graph on 0..n-1.  Any other document goes to the line walk, which
-    reads the syntax and feeds the edges lazily to :func:`from_edges`, so an
-    out-of-range id, a self-loop or a duplicate edge is named with its line
-    number.  Nothing is repaired; the first error wins.
+    The builtin path reads what :func:`serialize_graph` writes: lines of two
+    unsigned decimal ids (no leading zero) split by one space or tab, each
+    ended by a newline, the last one optionally.  :func:`_scan` checks that
+    shape with one translate and reads the ids with one JSON scan, and
+    :func:`_simple_graph` builds the graph from edges in that function's
+    order (u < v, sorted).  Any other document, or one the
+    builtin path refuses, goes to the line walk, which reads every valid
+    layout to the same graph and feeds the edges lazily to
+    :func:`from_edges`, so an out-of-range id, a self-loop or a duplicate
+    edge is named with its line number.  Nothing is repaired; the first
+    error wins.
     """
-    if "#" not in text and set(map(len, map(str.split, text.splitlines()))) <= {0, 2}:
-        try:
-            nums = list(map(int, text.split()))
-        except ValueError:
-            nums = []
-        if len(nums) >= 2 and 0 <= nums[0] <= MAX_VERTICES and nums[1] >= 0 and len(nums) == 2 * nums[1] + 2:
-            g = _simple_graph(nums[0], nums[2::2], nums[3::2])
-            if g is not None:
-                return g
+    nums = _scan(text)
+    if len(nums) >= 2 and 0 <= nums[0] <= MAX_VERTICES and len(nums) == 2 * nums[1] + 2:
+        g = _simple_graph(nums[0], nums[2::2], nums[3::2])
+        if g is not None:
+            return g
     lines = ((lineno, raw, raw.split("#", 1)[0].split()) for lineno, raw in enumerate(text.splitlines(), start=1))
     lines = (line for line in lines if line[2])
     lineno, raw, parts = next(lines, (0, "", None))

@@ -366,6 +366,20 @@ def test_input_error_exits(capsys, tmp_path, petersen_file):
         assert err.startswith("error: ") and err.count("\n") == 1 and extra[-2][2:] in err
 
 
+def test_a_long_value_out_of_range_is_named_by_its_size(capsys, tmp_path, petersen_file):
+    # the largest value the digit rule takes is refused by range in one short line, not printed digit by digit
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("0\n")
+    digits = sys.get_int_max_str_digits()
+    for rho, shown in ((f"1e{digits - 1}", f"a value above 1 written in {digits} characters"),
+                       (f"-1e{digits - 1}", f"a value below 0 written in {digits + 1} characters"),
+                       ("1" + "0" * 60 + "/3", "a value above 1 written in 63 characters"),
+                       ("1e50", "a value above 1 written in 51 characters"), ("1e49", "1" + "0" * 49),
+                       ("-1e48", "-1" + "0" * 48), ("3/2", "3/2")):
+        code, out, err = run_cli(capsys, "verify", "-g", str(petersen_file), f"--rho={rho}", "--seed-set", str(seeds))
+        assert (code, out) == (1, "") and err == f"error: rho must lie in (0, 1], got {shown}\n"
+
+
 def test_bench_end_to_end(capsys, tmp_path):
     tree_path = tmp_path / "tree.txt"
     main(["gen", "--family", "random_tree", "--n", "12", "--seed", "2", "-o", str(tree_path)])

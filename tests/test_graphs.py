@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 
 import pytest
 
@@ -18,7 +19,7 @@ from dynmono import (
     serialize_graph,
 )
 from dynmono import graphs as graphs_mod
-from dynmono.generators import petersen
+from dynmono.generators import FAMILIES, petersen
 from dynmono.graphs import ACYCLIC, connected_components, girth_at_least_five, induced_subgraph, is_tree
 from instances import gnp
 from oracles import girth_by_enumeration, parse_graph_reference, short_cycle_free_reference
@@ -225,10 +226,42 @@ def test_parse_graph_refuses_a_header_above_the_cap(monkeypatch):
         "3\n0 1",
         "3 1 1\n0 1",
         "3 1\n0\n1",
+        "3 2\n0 01\n1 2\n",  # each of these looks like serialize_graph's output but must reach the walk
+        "3 2\n0  1\n1 2\n",
+        "3 2\n0 1\n1 2\n\n",
+        "3 2\n0\t 1\n1 2\n",
+        "3 0",
+        "0 0\n",
+        pytest.param("1" * (getattr(sys, "get_int_max_str_digits", lambda: 4300)() + 1) + " 0\n",
+                     id="header-past-the-digit-limit"),
     ],
 )
 def test_parse_graph_matches_the_line_walk_on_named_cases(text):
     assert _outcome(parse_graph, text) == _outcome(parse_graph_reference, text)
+
+
+def test_every_serialized_family_takes_the_builtin_path_in_order(monkeypatch):
+    specs = [GeneratorSpec(family, n, 0.3, seed) for family in FAMILIES for n in (3, 5, 12) for seed in (0, 1)]
+    graphs = [generate(spec) for spec in specs] + [generate(GeneratorSpec(family, 1)) for family in ("path", "star")]
+    texts = [serialize_graph(g) for g in graphs]
+    assert "1 0\n" in texts and len({g.m for g in graphs}) > 10
+    monkeypatch.setattr(graphs_mod, "from_edges", None)  # the line walk cannot run
+    for g, text in zip(graphs, texts):
+        assert parse_graph(text) == g and parse_graph(text.rstrip("\n")) == g
+        assert parse_graph(text.replace(" ", "\t")) == g
+
+
+def test_edges_out_of_serialize_order_take_the_line_walk():
+    g = gnp(9, 0.5, random.Random(3))
+    header, *rows = serialize_graph(g).splitlines()
+    u, v = rows[-1].split()
+    bad = [rows + [rows[-1]], rows + [f"{v} {u}"], rows + [f"{u} {u}"], rows[:-1] + [rows[0]], rows[:-1] + [f"{v} {v}"]]
+    for text in (f"{g.n} {len(body)}\n" + "\n".join(body) + "\n" for body in bad):  # repeats and self-loops
+        expected = _outcome(parse_graph_reference, text)
+        assert expected.startswith("InputFormatError: line ") and _outcome(parse_graph, text) == expected
+    reordered = ["\n".join([header, rows[1], rows[0]] + rows[2:]) + "\n",
+                 "\n".join([header, " ".join(rows[0].split()[::-1])] + rows[1:]) + "\n"]
+    assert [parse_graph(text) for text in reordered] == [g, g]
 
 
 def _as_generator(pairs):
