@@ -53,7 +53,7 @@ def to_fraction(value: Fraction | int | str | float, name: str = "rho", upper: F
     naming ``name``, as does a value whose reduced numerator or denominator has more digits than str() prints, the
     limit sys.get_int_max_str_digits(); a decimal exponent above it (4300, CPython's default, on a 3.10 older than
     3.10.7, which lacks the function) is refused before Fraction builds 10**exponent.  A value out of range whose
-    text runs past 50 characters is named by its side of the range and its length.
+    text runs past 50 characters is named by its side of the range and its length, an unreadable one by its length.
     """
     exact = type(value) in (Fraction, int)  # bools take the str path
     digits = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
@@ -64,7 +64,9 @@ def to_fraction(value: Fraction | int | str | float, name: str = "rho", upper: F
         r = Fraction(value) if exact else Fraction(str(value))
         text = str(r)  # a ValueError past the digit limit
     except (ValueError, ZeroDivisionError):
-        shown = f"of more than {digits} digits" if exact else repr(value)  # an exact value fails only on its digits
+        size = 0 if exact else len(str(value))
+        shown = (f"of more than {digits} digits" if exact  # an exact value fails only on its digits
+                 else repr(value) if size <= 50 else f"written in {size} characters")
         raise PreconditionError(f"cannot interpret {name} {shown} as a rational") from None
     if not 0 < r <= upper:
         side = "below 0" if r < 0 else f"above {upper}"

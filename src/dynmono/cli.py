@@ -8,6 +8,7 @@ The ``cmd_*`` handlers print and return nothing; ``main`` sets every exit code: 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -160,68 +161,44 @@ COMMANDS = {
 }
 
 
+def _fill(command: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    func, _, arguments = COMMANDS[name]
+    for flags, keywords in arguments:
+        command.add_argument(*flags, **keywords)
+    command.set_defaults(func=func, command=name)
+    return command
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """Every command's parser; ``main`` builds it only for a line ``read_well_formed`` declines: help and errors."""
+    """Every command's parser; ``main`` builds it only for a bare or unknown command or for arguments left over."""
     parser = _Parser(prog="dynmono", description="Dynamic monopolies for degree-proportional thresholds")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_text, arguments) in COMMANDS.items():
-        command = sub.add_parser(name, help=help_text)
-        for flags, keywords in arguments:
-            command.add_argument(*flags, **keywords)
-        command.set_defaults(func=func, command=name)
+    for name, (_, help_text, _) in COMMANDS.items():
+        _fill(sub.add_parser(name, help=help_text), name)
     return parser
 
 
-_MODELLED = {"required", "choices", "default", "help", "action"}  # add_argument keywords read_well_formed models
-
-
-def read_well_formed(argv) -> argparse.Namespace | None:
-    """The namespace argparse builds for a well-formed command line, read from ``COMMANDS``; None for any other.
-
-    Well formed: a command, then each of its flags at most once, spelled as the table spells it; a valued
-    flag followed by a value that does not start with "-" and meets its choices; every required flag there.
-    A command whose table entry uses a keyword outside ``_MODELLED``, or an action other than store_true,
-    reads no line at all.
-    """
-    if not argv or argv[0] not in COMMANDS:
-        return None
-    func, _, arguments = COMMANDS[argv[0]]
-    values, flag_of, required = {"func": func, "command": argv[0]}, {}, set()
-    for flags, keywords in arguments:
-        if not keywords.keys() <= _MODELLED or keywords.get("action", "store_true") != "store_true":
-            return None
-        dest = next((flag for flag in flags if flag.startswith("--")), flags[0]).lstrip("-").replace("-", "_")
-        switch = "action" in keywords
-        values[dest] = keywords.get("default", False if switch else None)
-        flag_of.update(dict.fromkeys(flags, (dest, switch, keywords.get("choices"))))
-        if keywords.get("required"):
-            required.add(dest)
-    seen, tokens = set(), iter(argv[1:])
-    for token in tokens:
-        dest, switch, choices = flag_of.get(token, (None, False, None))
-        if dest is None or dest in seen:
-            return None
-        seen.add(dest)
-        if switch:
-            values[dest] = True
-            continue
-        value = next(tokens, None)
-        if value is None or value.startswith("-") or choices is not None and value not in choices:
-            return None
-        values[dest] = value
-    return argparse.Namespace(**values) if required <= seen else None
+@functools.cache
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser ``build_parser`` makes for command ``name``, built on first use and kept for the process."""
+    return _fill(_Parser(prog=f"dynmono {name}"), name)
 
 
 def main(argv=None) -> int:
     """Run one command line and return its exit code: 0 once the handler returns, else argparse's or the error class's.
 
-    A well-formed line is read straight from ``COMMANDS`` (see ``read_well_formed``), with no parser built.
-    Any other line goes to the full parser (see ``build_parser``), so every help text and usage error is argparse's.
+    A line that names a command is read by that command's parser (see ``command_parser``): its help, errors and
+    namespace are the full parser's.  Only a bare or unknown command, or a line with arguments left over, builds the
+    full parser (see ``build_parser``), for its help or usage error.  The handler is read from ``COMMANDS`` each run.
     """
     argv = sys.argv[1:] if argv is None else argv
     try:
         try:
-            args = read_well_formed(argv) or build_parser().parse_args(argv)
+            named = bool(argv) and argv[0] in COMMANDS
+            args, stray = command_parser(argv[0]).parse_known_args(argv[1:]) if named else (None, None)
+            if not named or stray:
+                args = build_parser().parse_args(argv)
+            args.func = COMMANDS[args.command][0]  # the table's handler now, not the one the cached parser saw
             args.func(args)
             code = 0
         except SystemExit as exc:  # help, or a usage error

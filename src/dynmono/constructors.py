@@ -227,13 +227,14 @@ def _verified(g: Graph, phi: Thresholds, method: str, seed: tuple[int, ...], par
 def abw_construct(g: Graph, phi: Thresholds, rng_seed: int = 0) -> MonopolySeed:
     """Random-permutation seed: shuffle the vertices and seed u iff fewer than phi(u) neighbors come after u.
 
-    The order is exactly ``random.Random(rng_seed).shuffle``'s, from ``shuffled_range``; a negative seed is refused.
+    The order is exactly ``random.Random(rng_seed).shuffle``'s, from ``shuffled_range``; the seed must be a count.
 
     Activating the other vertices in reverse order witnesses a monopoly for
     every order: each has at least phi(u) neighbors later in the order, all
     already active.  The expected size is exact.abw_bound(g, phi).
     """
     check_thresholds(g, phi)
+    rng_seed = check_count(rng_seed, "rng_seed")
     adj, need, seed = g.adj, list(phi), []
     for u in reversed(shuffled_range(g.n, rng_seed)):  # need[u]: phi(u) less the neighbors walked (after u), >= 0
         if need[u]:
@@ -343,7 +344,7 @@ def girth5_construct(
     Preconditions: connected, max degree >= 1/rho, girth >= 5 (bypass with
     ``allow_low_girth``; the procedure stays well-defined, only the proven
     size bound needs the girth), and rho <= 1-delta so the sampling
-    probability is a probability.
+    probability is a probability; ``rng_seed`` must be a count (``check_count``).
 
     The options (``delta``, ``epsilon``, ``max_rounds``, ``max_restarts``,
     ``allow_low_girth``) are read through GIRTH5_OPTIONS, as the CLI and the
@@ -370,7 +371,7 @@ def girth5_construct(
     they are never hard gates because desk-scale instances sit far outside
     the proven rho range.
     """
-    r = to_fraction(rho)
+    r, rng_seed = to_fraction(rho), check_count(rng_seed, "rng_seed")
     options = girth5_options(dict(delta=delta, epsilon=epsilon, max_rounds=max_rounds, max_restarts=max_restarts,
                                   allow_low_girth=allow_low_girth))
     epsilon, max_restarts = options["epsilon"], options["max_restarts"]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import random
 
-from .errors import PreconditionError
+from .cascade import check_count
 
 
 def stable_seed(*parts: object) -> int:
@@ -20,10 +20,9 @@ def stable_seed(*parts: object) -> int:
 
 
 def seeded_random(rng_seed: int) -> random.Random:
-    """``random.Random(rng_seed)``, refusing a negative seed: CPython seeds -7 as 7, silently repeating its stream."""
-    if rng_seed < 0:
-        raise PreconditionError(f"rng_seed must be non-negative, got {rng_seed}")
-    return random.Random(rng_seed)
+    """``random.Random(rng_seed)`` for a seed ``check_count`` takes: CPython seeds -7 as 7, silently repeating its
+    stream, and takes 2.5, True or "abc" as seeds too."""
+    return random.Random(check_count(rng_seed, "rng_seed"))
 
 
 def shuffled_range(n: int, rng_seed: int) -> list[int]:

@@ -79,6 +79,12 @@ def test_load_config_errors(tmp_path):
         ("allow_low_girth", {"methods": [{"method": "girth5", "allow_low_girth": "false"}]}),
         ("allow_low_girth", {"methods": [{"method": "girth5", "allow_low_girth": "yes"}]}),
         ("allow_low_girth", {"methods": [{"method": "girth5", "allow_low_girth": 1}]}),
+        # an entry of the wrong shape is named, at the top level, in the instances and in the methods
+        ("config must be a JSON object", ["petersen"]),
+        ("instance entry must be a string or object, got 5", {"instances": [5]}),
+        ("instance entry needs 'family' or 'path'", {"instances": [{"n": 5}]}),
+        ("method entry needs 'method'", {"methods": [{"delta": "1/2"}]}),
+        ("method entry must be a string or object, got 3", {"methods": [3]}),
         # a string or an object where a list belongs is refused whole, not read one character or key at a time
         ("instances must be a list", {"instances": "petersen"}),
         ("rhos must be a list", {"rhos": "1/2"}),

@@ -56,6 +56,11 @@ def test_to_fraction_exact_and_named():
     for bad in (float("nan"), float("inf"), "nan", "-inf", True, None, [1], 0, "5/3"):
         with pytest.raises(PreconditionError, match="rho"):
             proportional_thresholds(pet, bad)
+    # an unreadable value is echoed up to 50 characters, and named by its length past that
+    for bad, shown in (("1" * 49 + "x", repr("1" * 49 + "x")), ("1" * 50 + "x", "written in 51 characters"),
+                       ("1" * 5000 + "x", "written in 5001 characters"), ([1] * 20, "written in 60 characters")):
+        with pytest.raises(PreconditionError, match=f"^cannot interpret rho {re.escape(shown)} as a rational$"):
+            to_fraction(bad)
 
 
 def test_to_fraction_without_the_digit_limit_function(monkeypatch):
@@ -77,7 +82,8 @@ def test_to_fraction_refuses_what_it_cannot_print():
     with pytest.raises(PreconditionError, match="rho must lie in"):
         to_fraction(f"1e{digits - 1}")  # too large, but printable
     for bad in (f"1e-{digits}", f"1e{digits}", f"12e{digits - 1}", f"1.5e{digits}", f"1/{10 ** digits // 9}0"):
-        with pytest.raises(PreconditionError, match=re.escape(f"cannot interpret rho {bad!r} as a rational")):
+        shown = repr(bad) if len(bad) <= 50 else f"written in {len(bad)} characters"
+        with pytest.raises(PreconditionError, match=re.escape(f"cannot interpret rho {shown} as a rational")):
             to_fraction(bad)
     for bad in (10**digits, Fraction(1, 10**digits)):
         with pytest.raises(PreconditionError, match=f"cannot interpret delta of more than {digits} digits"):

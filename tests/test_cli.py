@@ -16,7 +16,7 @@ import pytest
 
 import dynmono
 from dynmono import constructors
-from dynmono.cli import COMMANDS, build_parser, main, read_well_formed
+from dynmono.cli import COMMANDS, build_parser, command_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -176,6 +176,12 @@ def test_hull_and_verify(capsys, petersen_file, tmp_path):
     assert record["active"] == list(range(10))
     assert record["is_monopoly"] is True
     assert record["rounds"]["0"] == 0 and record["rounds"]["9"] >= 1
+
+    # without --json: the active count, the verdict and the last activation round
+    for rho, text in (("1/3", "active 10/10\nmonopoly: true\nrounds: 2\n"),
+                      ("1", "active 1/10\nmonopoly: false\nrounds: 0\n")):
+        argv = ["hull", "-g", str(petersen_file), "--rho", rho, "--seed-set", str(seeds)]
+        assert run_cli(capsys, *argv) == (0, text, "")
 
     code, out, _ = run_cli(
         capsys, "verify", "-g", str(petersen_file), "--rho", "1/3", "--seed-set", str(seeds)
@@ -546,7 +552,7 @@ def well_formed_line(name, rng):
 
 
 def garbled_line(name, rng):
-    """A well-formed line with one to three edits; most put it outside the form the reader takes."""
+    """A well-formed line with one to three edits: abbreviations, repeats, ``--``, help, stray or dropped tokens."""
     argv = well_formed_line(name, rng)
     flags = [flag for names, _ in COMMANDS[name][2] for flag in names]
     for _ in range(rng.randint(1, 3)):
@@ -580,42 +586,33 @@ def garbled_line(name, rng):
 
 
 def test_a_well_formed_line_reads_as_argparse_reads_it():
-    # wherever the reader returns a namespace, argparse returns the same one and leaves no argument over;
-    # every well-formed spelling is read
+    # a command's own parser on the rest of the line ends as the full parser does: the same help or error, or the
+    # same namespace and the same arguments left over; every well-formed spelling is read with none left over
     rng, parser = random.Random(29), build_parser()
+    command_parser.cache_clear()  # a parser cached while a test swapped a handler keeps that handler as its default
+
+    def outcome(parse, argv):
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                args, stray = parse(argv)
+            return vars(args), stray
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
     for name in COMMANDS:
         for i in range(1000):
             argv = well_formed_line(name, rng) if i % 2 else garbled_line(name, rng)
-            read = read_well_formed(argv)
-            try:
-                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                    args, stray = parser.parse_known_args(argv)
-                expected = None if stray else vars(args)
-            except SystemExit:
-                expected = None
+            read = outcome(command_parser(name).parse_known_args, argv[1:])
+            assert read == outcome(parser.parse_known_args, argv), argv
             if i % 2:
-                assert read is not None and expected is not None, argv
-            if read is not None:
-                assert vars(read) == expected, argv
-
-
-@pytest.mark.parametrize("keywords", [{"type": int}, {"nargs": "?"}, {"dest": "other"}, {"const": "1"},
-                                      {"action": "store_false"}, {"action": "count"}, {"action": "append"},
-                                      {"action": "store_const", "const": "1"}, {"metavar": "X"}],
-                         ids=["type", "nargs", "dest", "const", "store_false", "count", "append", "store_const",
-                              "metavar"])
-def test_the_reader_declines_a_keyword_it_does_not_model(monkeypatch, keywords):
-    # a COMMANDS entry with such a keyword goes to argparse for every line, used or not
-    func, help_text, arguments = COMMANDS["solve"]
-    monkeypatch.setitem(COMMANDS, "solve", (func, help_text, (*arguments, (("--extra",), keywords))))
-    assert read_well_formed(["solve", "-g", "x", "--rho", "1"]) is None
-    monkeypatch.setitem(COMMANDS, "solve", (func, help_text, arguments))
-    assert read_well_formed(["solve", "-g", "x", "--rho", "1"]) is not None
+                assert read[1] == [], argv
 
 
 def test_a_declined_line_builds_the_full_parser_once(monkeypatch, tmp_path):
     path = tmp_path / "c5.txt"
     assert main(["gen", "--family", "cycle", "--n", "5", "-o", str(path)]) == 0
+    command_parser.cache_clear()
     built = []
     init, add_subparsers = argparse.ArgumentParser.__init__, argparse.ArgumentParser.add_subparsers
 
@@ -630,12 +627,13 @@ def test_a_declined_line_builds_the_full_parser_once(monkeypatch, tmp_path):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting_add_subparsers)
     solve = ["solve", "-g", str(path)]
-    assert main([*solve, "--rho", "1"]) == 0
-    assert built == []  # a well-formed line is read from COMMANDS
-    for argv, code in (([*solve, "--rh", "1"], 0), ([*solve, "--rho=1"], 0), ([*solve, "--rho", "1", "--rho", "1"], 0),
-                       ([*solve, "--rho", "1", "--limit", "-1"], 1), (["nosuchcommand"], 1),
-                       ([*solve, "--rho", "1", "extra"], 1)):
+    for argv, code in (([*solve, "--rho", "1"], 0), ([*solve, "--rh", "1"], 0), ([*solve, "--rho=1"], 0),
+                       ([*solve, "--rho", "1", "--rho", "1"], 0), ([*solve, "--rho", "1", "--limit", "-1"], 1)):
         assert main(argv) == code
+        assert built == ["dynmono solve"], argv  # built by the first line, kept for the rest
+    built.clear()
+    for argv in (["nosuchcommand"], [*solve, "--rho", "1", "extra"]):
+        assert main(argv) == 1
         assert built == ["dynmono", "subparsers", *(f"dynmono {name}" for name in COMMANDS)], argv
         built.clear()
 

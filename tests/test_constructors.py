@@ -186,6 +186,8 @@ def test_default_round_count_minimal():
     # the domain is check_delta's (0, 1/2]: a delta near 1, which would count for seconds, is refused at once
     with pytest.raises(PreconditionError, match=r"delta must lie in \(0, 1/2\]"):
         default_round_count(10**6, 0.999999)
+    with pytest.raises(PreconditionError, match="^round count needs n >= 1$"):
+        default_round_count(0, 0.5)
 
 
 # ---------------------------------------------------------------- greedy kernel

@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 from dynmono import GeneratorSpec, PreconditionError, generate, girth, random_girth5, random_tree, serialize_graph
-from dynmono import abw_construct, proportional_thresholds
+from dynmono import abw_construct, girth5_construct, proportional_thresholds
 from dynmono import generators, graphs
 from dynmono.generators import petersen, prufer_decode
 from dynmono.graphs import connected_components, girth_at_least_five, is_tree
@@ -49,6 +49,12 @@ def test_generate_validation():
         generate(GeneratorSpec("random_girth5", 10, p=1.5))
     with pytest.raises(PreconditionError):
         generate(GeneratorSpec("star", 0))
+    for build, message in ((lambda: generators.complete(0), "complete graph needs at least one vertex"),
+                           (lambda: prufer_decode([], 0), "tree needs at least one vertex"),
+                           (lambda: prufer_decode([1], 1), "sequence must be empty for n=1"),
+                           (lambda: random_girth5(0, 0.5), "random_girth5 needs at least one vertex")):
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            build()
 
 
 def test_generate_calls_builders_by_name(monkeypatch):
@@ -143,6 +149,24 @@ def test_negative_rng_seeds_are_refused():
             build()
     with pytest.raises(PreconditionError, match="^rng_seed must be non-negative, got -7$"):
         generate(GeneratorSpec("random_tree", 30, rng_seed=-7))
+
+
+def test_every_rng_seed_is_read_as_a_count():
+    # one rule, check_count's, for every seed the library takes: an exact float is its integer, anything else that
+    # is not a non-negative int is refused by name, and a run records the int it was seeded with
+    pet = petersen()
+    phi = proportional_thresholds(pet, "1/3")
+    builds = (lambda seed: random_tree(30, seed), lambda seed: random_girth5(30, 0.1, seed),
+              lambda seed: abw_construct(pet, phi, rng_seed=seed),
+              lambda seed: girth5_construct(pet, "1/3", rng_seed=seed))
+    for build in builds:
+        for bad, message in ((-1, "non-negative, got -1"), ("abc", "an integer, got abc"), (2.5, "an integer, got 2.5"),
+                             (True, "an integer, got True"), (None, "an integer, got None")):
+            with pytest.raises(PreconditionError, match=f"^rng_seed must be {message}$"):
+                build(bad)
+        assert build(4.0) == build(4)
+    for build in builds[2:]:
+        assert type(build(4.0).params["rng_seed"]) is int
 
 
 def test_random_girth5_output_contract():

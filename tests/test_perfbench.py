@@ -5,8 +5,8 @@ and every traced layer function), so renaming one breaks the benchmark.  One
 toy-scale traced pass of every workload makes such a rename fail here too.
 It asserts no wall-clock bound.  The pass runs on a copy of ``perfbench/``,
 ``src/`` and ``BENCHMARK.json``, so its records do not land in the
-checkout's ``perfbench/results/``.  Every op's command line is one the CLI
-reads from its command table, so no benchmark op builds an argparse parser.
+checkout's ``perfbench/results/``.  Every op's command line is read whole by
+its command's own parser, so no benchmark op builds the parser of all commands.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from dynmono.cli import read_well_formed
+from dynmono.cli import command_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,4 +44,5 @@ def test_every_benchmark_op_is_read_without_a_parser(monkeypatch, tmp_path):
             ops = workloads.setup_files(workload, 0, scale, checks) + workloads.pass_ops(workload, 0, scale, checks)
             assert ops
             for op in ops:
-                assert read_well_formed(op.argv) is not None, (workload, scale, op.argv)
+                args, stray = command_parser(op.argv[0]).parse_known_args(op.argv[1:])
+                assert args.command == op.argv[0] and stray == [], (workload, scale, op.argv)
