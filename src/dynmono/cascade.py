@@ -242,7 +242,7 @@ def _quotient(g: Graph, phi: Thresholds) -> SimpleNamespace:
     for k, block in enumerate(blocks):
         for u in block:
             node[u] = k
-    rows = tuple(tuple(node[v] for u in block for v in adj[u] if node[v] != k) for k, block in enumerate(blocks))
+    rows = tuple([tuple([node[v] for u in block for v in adj[u] if node[v] != k]) for k, block in enumerate(blocks)])
     return SimpleNamespace(n=len(blocks), adj=rows, phi=[phi[block[0]] for block in blocks], node=node)
 
 

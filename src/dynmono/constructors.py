@@ -275,14 +275,13 @@ def greedy_kernel(
     if not high:
         raise PreconditionError("no vertex of degree >= 1/rho: greedy kernel undefined")
     dp, dq = d.numerator, d.denominator  # count > deg/(1+d)  <=>  count*(dp+dq) > deg*dq
-    low = bytearray(deg * p < q for deg in degrees)  # the complement of high, as a mask
+    adj, low = g.adj, [deg * p < q for deg in degrees]  # low: the complement of high, as a mask
     state = Cascade(g, proportional_thresholds(g, r))
     state.add(())  # closed from the start; its phi = 0 vertices are isolated, so no holds_out count reads them
     need = state.need  # a nonzero need marks a vertex outside the kernel hull
 
     def holds_out(u: int) -> bool:
-        cnt = sum(1 for v in g.adj[u] if low[v] and need[v])
-        return cnt * (dp + dq) > degrees[u] * dq
+        return len([v for v in adj[u] if low[v] and need[v]]) * (dp + dq) > degrees[u] * dq
 
     kernel: list[int] = []
     for u in high:
@@ -308,23 +307,23 @@ def _sampling_rounds(
 ) -> tuple[tuple[int, ...], tuple[RoundRecord, ...], bool]:
     """One full run of the random rounds, extending a fork of ``base``, the kernel's closed cascade."""
     state = base.fork()
-    seed, raw = list(kernel), list(kernel)
+    seed, raw, need = list(kernel), list(kernel), state.need
     records: list[RoundRecord] = []
     while state.size < g.n and len(records) < max_rounds:
         xi = [u for u in pool if rng.random() < p1]
-        yi = tuple(u for u in xi if state.need[u])
+        yi = tuple([u for u in xi if need[u]])
         seed.extend(yi)
         raw.extend(xi)
         state.add(yi)
         # discarded samples are exactly the absorbed ones: a fresh cascade on kernel + raw samples closes to equal needs
         check = Cascade(g, state.phi)
         check.add(raw)
-        if check.need != state.need:
+        if check.need != need:
             raise AssertionError("raw-sample hull diverged from seed hull")
         records.append(RoundRecord(sampled=len(xi), added=yi, hull_size=state.size))
     fallback = state.size < g.n  # then every vertex still inactive is added
     if fallback:
-        seed.extend(u for u in range(g.n) if state.need[u])
+        seed.extend([u for u in range(g.n) if need[u]])
     return tuple(sorted(seed)), tuple(records), fallback
 
 

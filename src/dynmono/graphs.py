@@ -38,7 +38,8 @@ class Graph:
     count equals half the sum of the degrees.  Instances are immutable and
     safe to share read-only across concurrent workers.  Facts computed from
     the adjacency are cached on first use: ``degrees``, ``m``,
-    ``girth_at_least_five`` (see :func:`_shortest_cycle`), ``is_connected``,
+    ``girth_at_least_five`` (True from the counts for a connected graph
+    with m < n, a tree; else see :func:`_shortest_cycle`), ``is_connected``,
     one proportional threshold profile per rho and its threshold-1 quotient
     (see ``cascade``), and one greedy kernel state per (rho, delta) (see
     ``constructors``).
@@ -55,7 +56,8 @@ class Graph:
     def m(self) -> int:
         return sum(self.degrees) // 2
 
-    girth_at_least_five = cached_property(lambda self: _shortest_cycle(self, 5) == 5)
+    girth_at_least_five = cached_property(  # a connected graph with m < n is a tree: no cycle, no peel
+        lambda self: self.m < self.n and self.is_connected or _shortest_cycle(self, 5) == 5)
     is_connected = cached_property(lambda self: len(connected_components(self)) <= 1)
     _profiles = cached_property(lambda self: {})  # rho -> proportional threshold profile, see cascade
     _girth5_prefixes = cached_property(lambda self: {})  # (rho, delta) -> greedy_kernel's state, see constructors
@@ -189,24 +191,22 @@ def parse_graph(text: str) -> Graph:
 
 def serialize_graph(g: Graph) -> str:
     """Serialize to the edge-list format; parse_graph(serialize_graph(g)) == g."""
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    return f"{g.n} {g.m}\n" + "".join([f"{u} {v}\n" for u, row in enumerate(g.adj) for v in row if u < v])
 
 
 def connected_components(g: Graph, keep: Sequence[bool] | None = None) -> list[list[int]]:
     """Partition 0..n-1, or with a length-n mask the vertices u with ``keep[u]`` true, into the maximal connected
     blocks of the graph they induce, each sorted, ordered by smallest member."""
-    seen = bytearray(g.n) if keep is None else bytearray(map(not_, keep))
+    adj, seen = g.adj, [False] * g.n if keep is None else list(map(not_, keep))
     blocks: list[list[int]] = []
     for start in range(g.n):
         if not seen[start]:
-            seen[start] = 1
+            seen[start] = True
             block = [start]
             for u in block:
-                for v in g.adj[u]:
+                for v in adj[u]:
                     if not seen[v]:
-                        seen[v] = 1
+                        seen[v] = True
                         block.append(v)
             block.sort()
             blocks.append(block)
@@ -243,8 +243,9 @@ def girth(g: Graph) -> int | float:
 
 
 def girth_at_least_five(g: Graph) -> bool:
-    """Exact test for girth >= 5, cached on ``g``: :func:`_shortest_cycle` below 5, so each BFS stops at depth 2
-    and the search at the first BFS that meets a 3- or 4-cycle."""
+    """Exact test for girth >= 5, cached on ``g``.  A connected graph with m < n is a tree, so the counts and the
+    cached ``is_connected`` answer True; any other graph runs :func:`_shortest_cycle` below 5, so each BFS stops at
+    depth 2 and the search at the first BFS that meets a 3- or 4-cycle."""
     return g.girth_at_least_five
 
 

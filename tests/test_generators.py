@@ -140,6 +140,15 @@ def test_random_tree_is_tree_and_deterministic():
     assert random_tree(9, rng_seed=7) != random_tree(9, rng_seed=8)
 
 
+def test_random_tree_draws_are_the_standard_librarys():
+    # random_tree inlines randrange's getrandbits draws and redraws; the sizes cover a draw width that is exact
+    # (16), one that rejects almost half its draws (17), and the n <= 2 trees that draw nothing
+    for n in (*range(1, 10), 16, 17, 1000):
+        for seed in (0, 1, 7, 2**40 + 3):
+            rng = random.Random(seed)
+            assert random_tree(n, seed) == prufer_decode([rng.randrange(n) for _ in range(max(0, n - 2))], n)
+
+
 def test_negative_rng_seeds_are_refused():
     # CPython seeds random.Random(-7) as random.Random(7), so a negative seed would silently repeat 7's output
     pet = petersen()

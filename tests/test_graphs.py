@@ -14,8 +14,10 @@ from dynmono import (
     generate,
     GeneratorSpec,
     girth,
+    girth5_construct,
     parse_graph,
     random_girth5,
+    random_tree,
     serialize_graph,
 )
 from dynmono import graphs as graphs_mod
@@ -366,6 +368,47 @@ def test_girth_at_least_five_on_forests():
         assert _agrees_with_the_girth_search(forest)
     for family in ("path", "star"):
         assert _agrees_with_the_girth_search(generate(GeneratorSpec(family, 40)))
+
+
+def test_girth_at_least_five_answers_a_tree_from_its_counts(monkeypatch):
+    # a connected graph with m < n is a tree: the test answers from the counts and never starts the cycle search
+    def no_search(g, below):
+        raise AssertionError("the cycle search ran on a tree")
+
+    monkeypatch.setattr(graphs_mod, "_shortest_cycle", no_search)
+    trees = [generate(GeneratorSpec(family, 40)) for family in ("path", "star")]
+    trees += [random_tree(n, seed) for n in (1, 2, 3, 60, 500) for seed in range(3)]
+    for t in trees:
+        assert t.m < t.n and girth_at_least_five(t)
+
+
+def _pair_at_distance(t: Graph, d: int) -> tuple[int, int]:
+    """The first (root, v) with v at distance d from root in t, roots in id order."""
+    for root in range(t.n):
+        dist, queue = {root: 0}, [root]
+        for u in queue:  # BFS: the queue grows in level order as it is walked
+            if dist[u] == d:
+                return root, u
+            for v in t.adj[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+    raise ValueError(f"no two vertices at distance {d}")
+
+
+def test_a_tree_plus_a_short_cycle_edge_fails_the_girth_five_test():
+    # one edge more than a tree (m = n) runs the search: a closed 3- or 4-cycle still fails, and girth5 refuses it
+    trees = [generate(GeneratorSpec("path", 12))] + [random_tree(60, seed) for seed in range(8)]
+    for t in trees:
+        for length in (3, 4, 5):
+            u, v = _pair_at_distance(t, length - 1)
+            g = from_edges(t.n, [*t.edges(), (u, v)])
+            assert g.m == g.n and g.is_connected and girth(g) == length
+            assert girth_at_least_five(g) == (length == 5)
+            if length < 5:
+                with pytest.raises(PreconditionError, match="^graph has a cycle of length 3 or 4; pass allow_low_girth"
+                                                            " to proceed$"):
+                    girth5_construct(g, "1/3")
 
 
 def test_girth_at_least_five_with_planted_short_cycles():
